@@ -83,13 +83,16 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _as_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _require_number(mapping, field, path, minimum=None, strict=False):
     if field not in mapping:
         raise ConfigError(f"{path}.{field}", "missing required value")
-    value = mapping[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{field}", f"expected a number, got {value!r}")
-    value = float(value)
+    value = _as_number(mapping[field], f"{path}.{field}")
     if minimum is not None:
         if strict and value <= minimum:
             raise ConfigError(f"{path}.{field}", f"must be > {minimum}, got {value}")
@@ -121,13 +124,11 @@ def _parse_springs(config: dict) -> SpringSpec:
     for key in section:
         if key not in _SPRING_FIELDS:
             raise ConfigError(f"springs.{key}", "unknown spring parameter")
+    values = {f: _require_number(section, f, "springs")
+              for f in _SPRING_FIELDS if f in section}
     try:
-        return SpringSpec(
-            k1=float(section.get("k1", 1.0)),
-            k2=float(section.get("k2", 1.0)),
-            rest_fraction=float(section.get("rest_fraction", 0.4)),
-        )
-    except (TypeError, ValueError) as exc:
+        return SpringSpec(**values)
+    except ValueError as exc:
         raise ConfigError("springs", str(exc)) from exc
 
 
@@ -137,12 +138,8 @@ def _parse_alphas(config: dict) -> list[float]:
         raise ConfigError("alphas", "missing required list of angles (radians)")
     if not isinstance(alphas, list) or not alphas:
         raise ConfigError("alphas", "must be a non-empty list of numbers")
-    out = []
-    for index, value in enumerate(alphas):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"alphas[{index}]", f"expected a number, got {value!r}")
-        out.append(float(value))
-    return out
+    return [_as_number(value, f"alphas[{index}]")
+            for index, value in enumerate(alphas)]
 
 
 def _parse_stack(config: dict):
@@ -188,7 +185,8 @@ def _check_bounds_box(config: dict) -> None:
             raise ConfigError(f"bounds.{key}", "unknown axis")
         expected = _BOUNDS_BOX[key]
         if (not isinstance(value, list) or len(value) != 2
-                or [float(v) for v in value] != list(expected)):
+                or [_as_number(v, f"bounds.{key}") for v in value]
+                != list(expected)):
             raise ConfigError(
                 f"bounds.{key}",
                 f"the design box is fixed at {list(expected)}; "

@@ -29,6 +29,9 @@ _DEDUP_TOL = 1e-8
 # Bisection stops when the bracket is this tight relative to the root.
 _BISECT_REL = 1e-15
 _MAX_NEWTON = 120
+# Largest |p(x)| / (scale * (1 + |x|)**degree) accepted as a root from a
+# bracket without a sign change (rounding at a true root gives ~1e-16).
+_ROOT_RESIDUAL_REL = 1e-8
 
 
 class DegenerateInput(ValueError):
@@ -282,6 +285,7 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> RootSet:
         return RootSet((), (), ())
     sf = Polynomial(coeffs) if len(coeffs) == 2 else square_free_part(p)
     dsf = sf.derivative()
+    sf_scale = max(abs(c) for c in sf.coeffs)
     chain = _sturm_chain(sf)
 
     # Widen the left end slightly so a root exactly at ``lo`` is counted
@@ -308,8 +312,16 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> RootSet:
         if fa == 0.0:
             roots.append(a)
         elif fb == 0.0 or (fa > 0.0) == (fb > 0.0):
-            # Root sits at the half-open right end (or the bracket collapsed).
-            roots.append(b if abs(fb) <= abs(fa) else 0.5 * (a + b))
+            # No sign change: a root at the half-open right end, a collapsed
+            # bracket, or a failed square-free split.  The last leaves an even
+            # root, shared with the derivative, or a miscounted root that is
+            # not there; keep the best candidate only where ``sf`` vanishes.
+            guess = b if abs(fb) <= abs(fa) else 0.5 * (a + b)
+            best = min([guess, *real_roots(dsf, a, b).roots],
+                       key=lambda r: abs(sf(r)))
+            if abs(sf(best)) <= _ROOT_RESIDUAL_REL * sf_scale * (
+                    1.0 + abs(best)) ** sf.degree:
+                roots.append(best)
         else:
             roots.append(_polish(sf, dsf, a, b))
 

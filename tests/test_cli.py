@@ -376,6 +376,12 @@ def test_twelve_significant_digits(tmp_path):
     ("optimize", {"resolutions": {"lambda": 1}}, "resolutions.lambda"),
     ("optimize", {"resolutions": {"depth": 3}}, "resolutions.depth"),
     ("optimize", {"workers": 0}, "workers"),
+    ("energy-profile", {**UNIT_CONFIG, "springs": {"rest_fraction": "0.4"}},
+     "springs.rest_fraction"),
+    ("optimize", {"springs": {"k1": True}}, "springs.k1"),
+    ("optimize", {"springs": {"k2": "2"}}, "springs.k2"),
+    ("optimize", {"bounds": {"l1": ["a", 1]}}, "bounds.l1"),
+    ("optimize", {"bounds": {"h1": [False, 1]}}, "bounds.h1"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, config_data,
                               fragment):

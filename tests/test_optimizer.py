@@ -233,3 +233,52 @@ def test_search_prefers_lower_total_energy_between_ties(small_report):
         ties = [r for r in rivals if r.alpha_sing == top]
         best_energy = min(t.total_energy for t in ties)
         assert record.total_energy <= best_energy * (1.0 + 1e-8) + 1e-12
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
+                                                 chunk):
+    # Chunk boundaries cut through tapers (90 designs each); a chunk
+    # integrates energy only for the rows at its per-taper maximum score.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = small_report.bounds
+    integrated = []
+    block = optimizer_module._total_energy_block
+
+    def counting_block(h1, h2, h3, l1, l2, *rest):
+        integrated.extend(zip(h1.tolist(), h2.tolist(), l1.tolist(),
+                              l2.tolist()))
+        return block(h1, h2, h3, l1, l2, *rest)
+
+    monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
+    monkeypatch.setattr(optimizer_module, "_total_energy_block",
+                        counting_block)
+    report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
+    assert report == small_report
+
+    points = list(enumerate_grid(bounds))
+    for record in report.best:
+        rivals = [evaluate_design(p) for p in points
+                  if p[4] == record.lam and p[1] > 0.0]
+        key = min((-r.alpha_sing, r.total_energy, r.x[0], r.x[1], r.x[3])
+                  for r in rivals)
+        assert (record.x[0], record.x[1], record.x[3]) == key[2:]
+        assert -record.alpha_sing == pytest.approx(key[0], abs=1e-9)
+
+    # Independent tie sets: the sweep's own scores, grouped per chunk and
+    # taper in plain Python.
+    h1, h2, _, l1, lam = (np.array(v) for v in zip(*points))
+    l2 = lam * l1
+    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
+    expected = []
+    for start in range(0, len(points), chunk):
+        peaks = {}
+        rows = [i for i in range(start, min(start + chunk, len(points)))
+                if h2[i] > 0.0]
+        scores = {i: capped_alpha_sing(float(nearest[i])) for i in rows}
+        for i in rows:
+            peaks[lam[i]] = max(peaks.get(lam[i], -math.inf), scores[i])
+        expected += [(h1[i], h2[i], l1[i], l2[i]) for i in rows
+                     if scores[i] == peaks[lam[i]]]
+    assert sorted(integrated) == sorted(expected)
+    assert len(expected) < report.n_feasible

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT, random_geometry
@@ -178,6 +178,11 @@ def test_sturm_count_agrees_with_synthetic_roots():
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=9))
+# Both defeat the square-free split: a double root at 0 beside a root near
+# 2e10 (reported at 0.149), and a false common factor that made the Sturm
+# chain count a second root at -0.588.
+@example([0.0, 0.0, 1.0, -2.0, 9.091551855158278e-11])
+@example([1.5, 3.1875, 1e-07, 0.0, 0.0, 1.0])
 @settings(max_examples=80, deadline=None)
 def test_random_coefficients_roots_are_certified(coeffs):
     p = Polynomial(tuple(coeffs))
