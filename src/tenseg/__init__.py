@@ -1,9 +1,9 @@
 """Analysis toolkit for stacked planar tensegrity mechanisms.
 
-Segment kinematics (:mod:`tenseg.geometry`), certified singularity analysis
-(:mod:`tenseg.singularity` on top of :mod:`tenseg.polyroots`), spring-energy
-stability (:mod:`tenseg.energy`), and a deterministic design grid search
-(:mod:`tenseg.optimizer`), with a batch CLI in :mod:`tenseg.cli`.
+Kinematics (:mod:`tenseg.geometry`), singular angles from one certified
+quartic kernel (:mod:`tenseg.singularity`, Sturm fallback in
+:mod:`tenseg.polyroots`), spring-energy stability (:mod:`tenseg.energy`), a
+design grid search (:mod:`tenseg.optimizer`) and a CLI (:mod:`tenseg.cli`).
 """
 
 from .energy import (EnergyProfile, InvalidFraction, NoSingularity,
@@ -16,11 +16,9 @@ from .geometry import (Frame2D, InvalidGeometry, InvalidRatio, SegmentGeometry,
                        singularity_condition, stack_forward, tapered_stack,
                        validate_geometry)
 from .optimizer import (DesignBounds, DesignRecord, EmptyGrid,
-                        OptimizationReport, SpringSpec, enumerate_grid,
-                        evaluate_design, optimize)
-from .polyroots import (DegenerateInput, Polynomial, RootSet,
-                        half_angle_polynomial, real_roots, sturm_root_count)
-from .singularity import SingularitySet, scan_singularities, singular_angles
+                        OptimizationReport, SpringSpec, optimize)
+from .polyroots import DegenerateInput, Polynomial, RootSet, real_roots
+from .singularity import SingularitySet, singular_angles
 
 __version__ = "0.1.0"
 
@@ -34,9 +32,8 @@ __all__ = [
     "singularity_condition", "stack_forward", "tapered_stack",
     "validate_geometry",
     "DesignBounds", "DesignRecord", "EmptyGrid", "OptimizationReport",
-    "SpringSpec", "enumerate_grid", "evaluate_design", "optimize",
-    "DegenerateInput", "Polynomial", "RootSet", "half_angle_polynomial",
-    "real_roots", "sturm_root_count",
-    "SingularitySet", "scan_singularities", "singular_angles",
+    "SpringSpec", "optimize",
+    "DegenerateInput", "Polynomial", "RootSet", "real_roots",
+    "SingularitySet", "singular_angles",
     "__version__",
 ]

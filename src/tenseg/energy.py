@@ -153,15 +153,16 @@ def total_energy(g: SegmentGeometry, springs: SpringParams,
 
     Composite Simpson quadrature with interval doubling until the value is
     stable to 1e-9 relative.  ``alpha_sing`` may be passed when already known
-    (it is recomputed from the geometry otherwise); raises
-    :class:`NoSingularity` for designs with no singularity to bound the range.
+    (it is recomputed from the geometry otherwise) and must be finite and
+    >= 0; raises :class:`NoSingularity` for designs with no singularity.
     """
     if alpha_sing is None:
         alpha_sing = singular_angles(g).alpha_sing
         if alpha_sing is None:
             raise NoSingularity("design is never singular; no bounded range")
-    if alpha_sing < 0.0:
-        raise ValueError(f"alpha_sing must be >= 0, got {alpha_sing!r}")
+    if not (alpha_sing >= 0.0 and math.isfinite(alpha_sing)):
+        raise ValueError(
+            f"alpha_sing must be finite and >= 0, got {alpha_sing!r}")
     if alpha_sing == 0.0:
         return 0.0
     lo, hi = -float(alpha_sing), float(alpha_sing)

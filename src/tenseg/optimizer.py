@@ -18,11 +18,10 @@ spring energy ``E_t`` and then lexicographically smaller design vector —
 fully deterministic, and independent of how the sweep is chunked or
 parallelised.
 
-The sweep evaluates designs in fixed-size chunks with array arithmetic (the
-per-design reference path is :func:`evaluate_design`; the chunked path is
-checked against it in the test suite) and optionally fans chunks out to worker
-processes.  Chunk boundaries and the merge are independent of the worker
-count, so reports are identical whatever parallelism is used.
+The sweep evaluates designs in fixed-size chunks with array arithmetic
+(checked against the scalar API design by design in the test suite) and
+optionally fans chunks out to worker processes.  Chunk boundaries and the
+merge do not depend on the worker count, so neither do the reports.
 
 Energy only breaks ties, so each chunk integrates it just for its tie set,
 the rows at their taper's best score within the chunk; the score leads every
@@ -39,10 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (_FD_STEP, _INT_MAX_PANELS, _INT_MIN_PANELS, _INT_REL,
-                     _TAU_REL, SpringParams, Stability, classify_home_stability,
-                     energy, total_energy)
-from .geometry import InvalidGeometry, SegmentGeometry, _cable_lengths_raw
-from .singularity import singular_angles
+                     _TAU_REL, Stability)
+from .geometry import _cable_lengths_raw
+from .singularity import quartic_coefficients, quartic_real_roots
 
 _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
@@ -50,9 +48,6 @@ _PI_2 = 0.5 * math.pi
 _SNAP = 1e-7
 # Designs per work chunk; fixed so results never depend on the worker count.
 _CHUNK = 2048
-# Relative threshold under which a leading polynomial coefficient is treated
-# as zero when fixing the effective degree of the singularity quartic.
-_DEGREE_REL = 1e-13
 
 L1_RANGE = (0.0, 4.5)
 H1_RANGE = (0.0, 1.0)
@@ -173,101 +168,11 @@ class OptimizationReport:
     n_feasible: int
 
 
-def enumerate_grid(bounds: DesignBounds):
-    """Yield every design vector ``(h1, h2, h3, l1, lam)`` in sweep order.
-
-    The order is taper-major (``lam`` outermost, then ``h1``, ``h2``, ``l1``),
-    matching the flat chunk indexing of :func:`optimize`.
-    """
-    h1_axis = bounds.h1_axis()
-    h2_axis = bounds.h2_axis()
-    l1_axis = bounds.l1_axis()
-    for lam in bounds.lambda_axis():
-        for h1 in h1_axis:
-            for h2 in h2_axis:
-                for l1 in l1_axis:
-                    yield (float(h1), float(h2), float(h1), float(l1), float(lam))
-
-
 def capped_alpha_sing(nearest: float | None) -> float:
     """Score a nearest singular angle: cap at pi/2, snapping near-misses onto it."""
     if nearest is None or nearest >= _PI_2 - _SNAP:
         return _PI_2
     return nearest
-
-
-def evaluate_design(x, springs: SpringSpec | None = None) -> DesignRecord:
-    """Evaluate one design vector through the scalar reference pipeline."""
-    springs = springs or SpringSpec()
-    h1, h2, h3, l1, lam = (float(v) for v in x)
-    l2 = lam * l1
-    x = (h1, h2, h3, l1, lam)
-    try:
-        g = SegmentGeometry(h1=h1, h2=h2, h3=h3, l1=l1, l2=l2)
-    except InvalidGeometry:
-        nan = float("nan")
-        return DesignRecord(x=x, l2=l2, feasible=False, alpha_sing=nan,
-                            total_energy=nan, energy_at_zero=nan,
-                            energy_at_sing=nan, stability=None, curvature=nan)
-    alpha_sing = capped_alpha_sing(singular_angles(g).alpha_sing)
-    params = SpringParams.for_geometry(g, springs.k1, springs.k2,
-                                       springs.rest_fraction)
-    verdict = classify_home_stability(g, params)
-    return DesignRecord(
-        x=x,
-        l2=l2,
-        feasible=True,
-        alpha_sing=alpha_sing,
-        total_energy=total_energy(g, params, alpha_sing=alpha_sing),
-        energy_at_zero=float(energy(g, params, 0.0)),
-        energy_at_sing=float(energy(g, params, alpha_sing)),
-        stability=verdict.stability,
-        curvature=verdict.curvature,
-    )
-
-
-def _min_abs_angle_from_poly(coeffs: np.ndarray) -> np.ndarray:
-    """Smallest ``|2*atan(t)|`` over the real roots of each row polynomial.
-
-    ``coeffs`` is ``(n, 5)`` ascending.  Rows are grouped by effective degree
-    (leading coefficients can vanish on grid designs), solved by companion
-    eigenvalues, and polished by a few vectorised Newton steps.  Rows with no
-    real root yield ``inf``.
-    """
-    n = len(coeffs)
-    out = np.full(n, np.inf)
-    scale = np.abs(coeffs).max(axis=1)
-    negligible = _DEGREE_REL * scale
-    deg4 = np.abs(coeffs[:, 4]) > negligible
-    deg3 = ~deg4 & (np.abs(coeffs[:, 3]) > negligible)
-    deg2 = ~deg4 & ~deg3
-    for mask, degree in ((deg4, 4), (deg3, 3), (deg2, 2)):
-        if not mask.any():
-            continue
-        sub = coeffs[mask][:, : degree + 1]
-        monic = sub[:, :degree] / sub[:, degree:]
-        companion = np.zeros((len(sub), degree, degree))
-        for k in range(degree - 1):
-            companion[:, k + 1, k] = 1.0
-        companion[:, :, degree - 1] = -monic
-        roots = np.linalg.eigvals(companion)
-        realish = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
-        t = roots.real.copy()
-        for _ in range(4):
-            value = np.zeros_like(t)
-            slope = np.zeros_like(t)
-            for c in sub[:, ::-1].T:
-                slope = slope * t + value
-                value = value * t + c[:, None]
-            t = np.where(slope != 0.0, t - value / slope, t)
-        value = np.zeros_like(t)
-        for c in sub[:, ::-1].T:
-            value = value * t + c[:, None]
-        residual_ok = np.abs(value) <= 1e-8 * scale[mask, None] * (
-            1.0 + np.abs(t)) ** degree
-        angles = np.where(realish & residual_ok, np.abs(2.0 * np.arctan(t)), np.inf)
-        out[mask] = angles.min(axis=1)
-    return out
 
 
 def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
@@ -276,14 +181,10 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
     Designs with ``h1 = h3 = 0`` reduce to the closed form
     ``arcsin(h2 (l1 + l2) / (4 l1 l2))`` (or no interior singularity when that
     ratio exceeds 1, leaving only the crossings at ``|alpha| = pi/2``); the
-    rest go through the half-angle polynomial.
+    rest go through the certified quartic kernel
+    :func:`tenseg.singularity.quartic_real_roots`.
     """
-    a = -2.0 * h2 * (h1 + h3)
-    b = -2.0 * h2 * (l1 + l2)
-    c = -4.0 * (h3 * l1 + h1 * l2)
-    d = 4.0 * (l1 * l2 - h1 * h3)
     nearest = np.full(h1.shape, np.inf)
-
     flat = (h1 == 0.0) & (h3 == 0.0)
     if flat.any():
         ratio = h2[flat] * (l1[flat] + l2[flat]) / (4.0 * l1[flat] * l2[flat])
@@ -291,14 +192,10 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
                                  np.arcsin(np.minimum(ratio, 1.0)))
     rest = ~flat
     if rest.any():
-        quartic = np.stack([
-            (b + c)[rest],
-            (2.0 * a + 4.0 * d)[rest],
-            (-6.0 * c)[rest],
-            (2.0 * a - 4.0 * d)[rest],
-            (c - b)[rest],
-        ], axis=1)
-        nearest[rest] = _min_abs_angle_from_poly(quartic)
+        roots, _ = quartic_real_roots(quartic_coefficients(
+            h1[rest], h2[rest], h3[rest], l1[rest], l2[rest]))
+        closest = np.fmin.reduce(np.abs(2.0 * np.arctan(roots)), axis=1)
+        nearest[rest] = np.where(np.isnan(closest), np.inf, closest)
     return nearest
 
 

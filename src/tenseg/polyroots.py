@@ -1,14 +1,16 @@
-"""Certified real-root isolation for low-degree polynomials with float coefficients.
+"""Sturm-certified real roots of low-degree polynomials (singularity fallback).
 
-The singularity condition of a segment is a trigonometric polynomial in
-``alpha``; the tangent half-angle substitution ``t = tan(alpha/2)`` with
-``sin = 2t/(1+t^2)`` and ``cos = (1-t^2)/(1+t^2)`` turns it into an ordinary
-polynomial of degree <= 8 (see :func:`half_angle_polynomial`).  Roots are
-isolated by Sturm-sequence bisection — an exact count of distinct real roots
-per interval, so none can be silently missed — then polished by safeguarded
-Newton iteration.  Repeated roots are split off first through a square-free
-factorisation so the Sturm chain is well conditioned, and reported with their
-multiplicities (an even multiplicity means the curve only touches zero).
+:func:`tenseg.singularity.quartic_real_roots` certifies most rows of the
+half-angle quartic from closed-form invariants; the rows it cannot vouch for
+(a double or triple root, or a discriminant at the rounding level) come here.
+Roots are isolated by Sturm-sequence bisection, an exact count of distinct
+real roots per interval, so none can be silently missed, then polished by
+safeguarded Newton iteration.  Repeated roots are split off first through a
+square-free factorisation so the Sturm chain is well conditioned, and are
+reported with their multiplicities (an even multiplicity means the curve only
+touches zero).  The result is then reconciled with every sign change of the
+polynomial that rounding cannot flip, which repairs a wrong square-free split.
+The callers pass degree <= 4; the routines themselves accept any degree.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies ``x**k``.
 """
@@ -29,6 +31,9 @@ _DEDUP_TOL = 1e-8
 # Bisection stops when the bracket is this tight relative to the root.
 _BISECT_REL = 1e-15
 _MAX_NEWTON = 120
+# |p(x)| <= _SIGN_REL * (degree + 1) * sum(|c_k| |x|^k) may be rounding alone:
+# Horner's rule rounds 2 * degree times, and a root is known to a float.
+_SIGN_REL = 4e-16
 # Largest |p(x)| / (scale * (1 + |x|)**degree) accepted as a root from a
 # bracket without a sign change (rounding at a true root gives ~1e-16).
 _ROOT_RESIDUAL_REL = 1e-8
@@ -76,9 +81,6 @@ class Polynomial:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def trimmed(self) -> "Polynomial":
-        return Polynomial(_trim(self.coeffs) or (0.0,))
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -121,13 +123,10 @@ def _remainder(a, b):
     """Trimmed Euclidean remainder of normalized coefficient tuples."""
     _, rem = _divmod_poly(a, b)
     scale = max(max(abs(c) for c in a), max(abs(c) for c in b))
-    rem = [c for c in rem]
-    if max((abs(c) for c in rem), default=0.0) <= _GCD_REL * scale:
-        return ()
-    trimmed = list(rem)
-    while trimmed and abs(trimmed[-1]) <= _GCD_REL * scale:
-        trimmed.pop()
-    return tuple(trimmed)
+    rem = list(rem)
+    while rem and abs(rem[-1]) <= _GCD_REL * scale:
+        rem.pop()
+    return tuple(rem)
 
 
 def _gcd_coeffs(a, b):
@@ -193,15 +192,6 @@ def _sign_variations(chain, x: float) -> int:
         if v != 0.0:
             signs.append(1.0 if v > 0.0 else -1.0)
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-
-
-def sturm_root_count(p: Polynomial, lo: float, hi: float) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (lo, hi]."""
-    sf = square_free_part(p)
-    if sf.degree < 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 def cauchy_root_bound(p: Polynomial) -> float:
@@ -334,42 +324,50 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> RootSet:
     merged = [r for r in merged if lo - pad <= r <= hi + pad]
 
     poly = Polynomial(coeffs)
-    residuals = tuple(abs(poly(r)) for r in merged)
-    mult = _multiplicities(poly, merged)
-    return RootSet(tuple(merged), residuals, mult)
+    merged, mult = _reconcile(poly, merged, _multiplicities(poly, merged),
+                              lo - pad, hi + pad)
+    return RootSet(tuple(merged), tuple(abs(poly(r)) for r in merged), mult)
 
 
-def half_angle_polynomial(g) -> Polynomial:
-    """The singularity condition as a degree-8 polynomial in ``t = tan(alpha/2)``.
+def _sign(p: Polynomial, x: float) -> int:
+    """Sign of ``p(x)``, or 0 where rounding in Horner's rule could flip it."""
+    value = p(x)
+    size = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+    if abs(value) <= _SIGN_REL * len(p.coeffs) * size:
+        return 0
+    return 1 if value > 0.0 else -1
 
-    The condition collapses to the four-term trigonometric form
 
-        A sin a + B cos a + C cos 2a + D sin 2a
+def _reconcile(p: Polynomial, roots, mult, lo: float, hi: float):
+    """Make the roots agree with each sign change rounding cannot flip.
 
-    with ``A = -2 h2 (h1 + h3)``, ``B = -2 h2 (l1 + l2)``,
-    ``C = -4 (h3 l1 + h1 l2)`` and ``D = 4 (l1 l2 - h1 h3)``; substituting the
-    half-angle rationals and clearing ``(1 + t^2)^2`` twice gives the returned
-    coefficients, so that
-
-        p(tan(a/2)) = (1 + t^2)^4 * condition(a).
-
-    The substitution cannot represent ``a = pi`` (where ``t`` blows up); the
-    condition there equals ``C - B``, the leading coefficient, and callers test
-    it separately.  The closed form is validated in the test suite against
-    evaluate-and-interpolate on Chebyshev nodes.
+    A candidate where the sign of ``p`` is certain is no root and is dropped.
+    Between two probes of certain sign (the interval ends, the real parts of
+    the critical points and the gaps between roots), the multiplicities must
+    add up to an odd number exactly when the sign changes.  Where they do
+    not, a lone crossing is found by bisection, and a cluster the signs
+    cannot resolve becomes one root at its mean, of the smallest
+    multiplicity >= 2 with the right parity.
     """
-    a = -2.0 * g.h2 * (g.h1 + g.h3)
-    b = -2.0 * g.h2 * (g.l1 + g.l2)
-    c = -4.0 * (g.h3 * g.l1 + g.h1 * g.l2)
-    d = 4.0 * (g.l1 * g.l2 - g.h1 * g.h3)
-    return Polynomial((
-        b + c,
-        2.0 * a + 4.0 * d,
-        2.0 * b - 4.0 * c,
-        6.0 * a + 4.0 * d,
-        -10.0 * c,
-        6.0 * a - 4.0 * d,
-        -2.0 * b - 4.0 * c,
-        2.0 * a - 4.0 * d,
-        c - b,
-    ))
+    found = {r: m for r, m in zip(roots, mult) if not _sign(p, r)}
+    ordered = sorted(found)
+    critical = np.roots(p.derivative().coeffs[::-1]).real
+    probes = sorted({lo, hi, *critical[(lo < critical) & (critical < hi)],
+                     *(0.5 * (a + b) for a, b in zip(ordered, ordered[1:]))})
+    certain = [(x, s) for x in probes if (s := _sign(p, x))]
+    for (a, sa), (b, sb) in zip(certain, certain[1:]):
+        inside = [r for r in found if a < r < b]
+        odd = sa != sb
+        if sum(found[r] for r in inside) % 2 == odd:
+            continue
+        for r in inside:
+            del found[r]
+        if inside:
+            x, m = sum(inside) / len(inside), 3 if odd else 2
+        else:
+            x, m = _polish(p, p.derivative(), a, b), 1
+        # Roots closer than _DEDUP_TOL stay one root.
+        x = next((r for r in found
+                  if abs(r - x) <= _DEDUP_TOL * (1.0 + abs(x))), x)
+        found[x] = found.get(x, 0) + m
+    return sorted(found), tuple(found[r] for r in sorted(found))

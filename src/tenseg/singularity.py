@@ -5,13 +5,24 @@ stationary in ``alpha``: the cable momentarily loses first-order control
 authority over the joint.  Loop 1 is the left cable; by the mirror symmetry of
 the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 
-Angles are found through the tangent half-angle polynomial
-(:func:`tenseg.polyroots.half_angle_polynomial`) with certified Sturm
-isolation, so no root in the range can be missed; ``alpha = pi``, which the
-half-angle substitution cannot represent, is tested separately.  The key
-figure of merit is ``alpha_sing``: the singular angle nearest the home
-configuration ``alpha = 0``, which bounds the usable symmetric deflection
-range of the segment.
+The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
+quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
+``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One batched
+kernel, :func:`quartic_real_roots`, serves :func:`singular_angles` (one row)
+and the design sweep (whole chunks).  It takes companion-matrix eigenvalues
+(Edelman & Murakami, Math. Comp. 64, 1995), polishes them by four Newton
+steps and keeps the nearly real ones where ``q`` vanishes to rounding.  It
+then counts each row's distinct real roots from the invariants ``I``, ``J``,
+``P`` and ``D`` (Rees, Amer. Math. Monthly 29, 1922), each with a rounding
+bound.  A row is certified when the invariants clear their bounds, the count
+equals the number of kept roots and no two kept roots lie within 1e-6
+relative.  Other rows (a double or triple root, or a discriminant at the
+rounding level) go to Sturm isolation, :func:`tenseg.polyroots.real_roots`.
+
+``alpha = pi`` is a root of multiplicity ``4 - degree`` when the leading
+coefficients vanish.  The key figure of merit is ``alpha_sing``: the singular
+angle nearest the home configuration ``alpha = 0``, which bounds the usable
+symmetric deflection range of the segment.
 """
 
 from __future__ import annotations
@@ -21,12 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SegmentGeometry, normalize_angle, singularity_condition
-from .polyroots import cauchy_root_bound, half_angle_polynomial, real_roots
+from .geometry import SegmentGeometry, normalize_angle
+from .polyroots import _TRIM_REL, Polynomial, cauchy_root_bound, real_roots
 
-# |leading coefficient| below this times the coefficient scale counts as a
-# root of the condition at alpha = pi.
-_PI_ROOT_REL = 1e-12
+# Relative size above which an eigenvalue's imaginary part marks it complex.
+_REALISH_REL = 1e-6
+# Largest |q(t)| / (scale * (1 + |t|)**degree) accepted as a root.
+_RESIDUAL_REL = 1e-8
+# Kept roots closer than this (relative) leave the row uncertified.
+_SEPARATION_REL = 1e-6
+# Rounding bound of an invariant, relative to the sum of its terms' sizes:
+# each takes at most a dozen roundings, so this is over 20 times generous.
+_INVARIANT_REL = 4e-14
 
 
 @dataclass(frozen=True)
@@ -45,51 +62,141 @@ class SingularitySet:
     alpha_sing: float | None
 
 
+def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
+    """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``.
+
+    ``A = -2 h2 (h1 + h3)``, ``B = -2 h2 (l1 + l2)``, ``C = -4 (h3 l1 +
+    h1 l2)``, ``D = 4 (l1 l2 - h1 h3)``; the dimensions are floats or arrays.
+    """
+    a = -2.0 * h2 * (h1 + h3)
+    b = -2.0 * h2 * (l1 + l2)
+    c = -4.0 * (h3 * l1 + h1 * l2)
+    d = 4.0 * (l1 * l2 - h1 * h3)
+    return np.array([b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d,
+                     c - b]).T
+
+
+# I, J, P and D of a t^4 + b t^3 + c t^2 + d t + e as weighted sums of the
+# monomials formed in _real_root_count.
+_INVARIANTS = np.array([
+    # cc bd ae ccc bcd bbe add ace ac bb aaae aacc abbc aabd bbbb
+    [1, -3, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 2, -9, 27, 27, -72, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 8, -3, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, -16, 16, -16, -3],
+], dtype=float)
+
+
+def _real_root_count(unit: np.ndarray) -> np.ndarray:
+    """Distinct real roots of each column's quartic; -1 where unsure.
+
+    ``unit`` holds ``(5, m)`` ascending coefficients with magnitudes below 1.
+    An invariant is sure when it exceeds ``_INVARIANT_REL`` times the sum of
+    its terms' sizes.  With ``a = 0`` the root at infinity counts as real.
+    """
+    e, d, c, b, a = unit
+    aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
+    mono = np.array([cc, bd, ae, c * cc, c * bd, e * bb, a * d * d, c * ae,
+                     ac, bb, aa * ae, ac * ac, bb * ac, aa * bd, bb * bb])
+    (inv_i, inv_j, inv_p, inv_d), size = (
+        _INVARIANTS @ mono, np.abs(_INVARIANTS) @ np.abs(mono))
+    # 27 Delta = 4 I^3 - J^2.  With |error(I)| <= REL size(I) and likewise
+    # for J, its error is below 4 REL (4 size(I)^3 + size(J)^2).
+    disc = 4.0 * inv_i * inv_i * inv_i - inv_j * inv_j
+    disc_err = 4.0 * _INVARIANT_REL * (4.0 * size[0] * size[0] * size[0]
+                                       + size[1] * size[1])
+    bound_p, bound_d = _INVARIANT_REL * size[2:]
+    # Delta < 0: two real roots.  Delta > 0: none if P > 0 or D > 0, four if
+    # P < 0 and D < 0.  Delta = 0: a multiple root.
+    two = disc < -disc_err
+    none = (disc > disc_err) & ((inv_p > bound_p) | (inv_d > bound_d))
+    four = (disc > disc_err) & (inv_p < -bound_p) & (inv_d < -bound_d)
+    return np.where(two | none | four, 2 * two + 4 * four, -1)
+
+
+def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
+    """Kept real roots ``(degree, m)`` of the ``(degree + 1, m)`` columns."""
+    companion = np.zeros((sub.shape[1], degree, degree))
+    for k in range(degree - 1):
+        companion[:, k + 1, k] = 1.0
+    companion[:, :, degree - 1] = -(sub[:degree] / sub[degree]).T
+    eig = np.linalg.eigvals(companion).T
+    complex_ = np.abs(eig.imag) > _REALISH_REL * (1.0 + np.abs(eig.real))
+    # Four Newton steps by Horner from the leading coefficient down; its first
+    # step (slope 0, value lead) is folded in, exact wherever t is finite.
+    lead, first, *rest = sub[::-1]
+    t = np.ascontiguousarray(eig.real)
+    for _ in range(4):
+        slope, value = lead, lead * t + first
+        for c in rest:
+            slope = slope * t + value
+            value = value * t + c
+        t = np.where(slope != 0.0, t - value / slope, t)
+    value = lead * t + first
+    for c in rest:
+        value = value * t + c
+    kept = ~complex_ & np.isfinite(t) & (
+        np.abs(value) <= _RESIDUAL_REL * scale * (1.0 + np.abs(t)) ** degree)
+    return np.where(kept, t, np.nan)
+
+
+def quartic_real_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct real roots of each ``(n, 5)`` ascending quartic row, certified.
+
+    Returns ``(roots, certified)``: ``roots`` is ``(n, 4)``, each row sorted
+    ascending and padded with NaN.  Certified rows have simple roots; the
+    others, and all of degree below 3, were re-solved by Sturm isolation
+    (which raises ``DegenerateInput`` for a zero row).  A leading coefficient
+    at most ``1e-12`` times the row's largest counts as zero.
+    """
+    cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
+    roots = np.full((4, cols.shape[1]), np.nan)
+    certified = np.zeros(cols.shape[1], dtype=bool)
+    size = np.abs(cols)
+    scale = size.max(axis=0)
+    big = size[3:] > _TRIM_REL * scale
+    degree = np.where(big[1], 4, 3 * big[0])
+    for d in (4, 3):
+        idx = np.flatnonzero(degree == d)
+        if not len(idx):
+            continue
+        sub = cols[: d + 1, idx]
+        found = np.sort(_solve(sub, scale[idx], d), axis=0)
+        close = found[1:] - found[:-1] <= _SEPARATION_REL * (
+            1.0 + np.abs(found[:-1]))
+        # Scaling by a power of two is exact and keeps the invariants clear
+        # of overflow and underflow; a dropped leading term counts as zero.
+        unit = np.ldexp(cols[:, idx], -np.frexp(scale[idx])[1])
+        unit[d + 1:] = 0.0
+        count = _real_root_count(unit) - (4 - d)
+        kept = np.isfinite(found).sum(axis=0)
+        certified[idx] = (count == kept) & ~close.any(axis=0)
+        roots[:d, idx] = found
+    roots = roots.T
+    for i in np.flatnonzero(~certified):
+        p = Polynomial(cols[:, i])
+        found = real_roots(p, -cauchy_root_bound(p), cauchy_root_bound(p))
+        roots[i] = (found.roots + (np.nan,) * 4)[:4]
+    return roots, certified
+
+
 def singular_angles(g: SegmentGeometry) -> SingularitySet:
     """All singular angles of both loops of ``g`` in (-pi, pi]."""
-    poly = half_angle_polynomial(g)
-    coeff_scale = max(abs(c) for c in poly.coeffs)
-    if coeff_scale == 0.0:
-        # The condition vanishes identically only for degenerate dimensions
-        # that validate_geometry rejects; guard anyway.
-        raise ValueError("singularity condition is identically zero")
-
-    bound = cauchy_root_bound(poly)
-    roots = real_roots(poly, -bound, bound)
-    angles = [2.0 * math.atan(t) for t in roots.roots]
-    mults = list(roots.multiplicities)
-
-    # t = tan(alpha/2) cannot reach alpha = pi; the condition there equals the
-    # leading coefficient.
-    if abs(poly.coeffs[-1]) <= _PI_ROOT_REL * coeff_scale:
-        angles.append(math.pi)
-        mults.append(1)
-
-    order = sorted(range(len(angles)), key=angles.__getitem__)
-    loop1 = tuple(angles[i] for i in order)
-    mult = tuple(mults[i] for i in order)
+    coeffs = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)[None, :]
+    roots, certified = quartic_real_roots(coeffs)
+    t = [float(r) for r in roots[0] if not math.isnan(r)]
+    poly, mults = Polynomial(coeffs[0]), [1] * len(t)
+    if not certified[0]:
+        # The kernel's own fallback, repeated for its multiplicities.
+        mults = list(real_roots(poly, -cauchy_root_bound(poly),
+                                cauchy_root_bound(poly)).multiplicities)
+    # The sweep takes the same arctangent, so both agree to the last bit.
+    loop1 = [float(a) for a in 2.0 * np.arctan(t)]
+    # t = tan(alpha/2) cannot reach alpha = pi, where the condition equals
+    # the leading coefficient: each vanishing leading term is one root there.
+    if poly.degree < 4:
+        loop1.append(math.pi)
+        mults.append(4 - poly.degree)
     loop2 = tuple(sorted(normalize_angle(-a) for a in loop1))
     alpha_sing = min((abs(a) for a in loop1), default=None)
-    return SingularitySet(loop1=loop1, loop2=loop2, multiplicities=mult,
-                          alpha_sing=alpha_sing)
-
-
-def scan_singularities(g: SegmentGeometry, n: int = 1_000_000):
-    """Sign-change brackets of the loop-1 condition on a dense uniform grid.
-
-    Samples the condition at ``n`` points covering (-pi, pi] and returns the
-    list of ``(lo, hi)`` sample pairs across which it changes sign — an
-    independent, derivative-free check on :func:`singular_angles` (tangencies,
-    which touch zero without crossing, are invisible here by design).
-    """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for a meaningful scan, got {n}")
-    alphas = -math.pi + (2.0 * math.pi / n) * np.arange(1, n + 1)
-    values = singularity_condition(g, alphas)
-    signs = np.sign(values)
-    # Zero samples adopt the sign to their left so an exact hit still yields
-    # one bracket instead of none.
-    for idx in np.flatnonzero(signs == 0.0):
-        signs[idx] = signs[idx - 1] if idx > 0 else 1.0
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    return [(float(alphas[i]), float(alphas[i + 1])) for i in flips]
+    return SingularitySet(tuple(loop1), loop2, tuple(mults), alpha_sing)

@@ -194,6 +194,14 @@ def test_total_energy_accepts_precomputed_range():
     assert total_energy(UNIT, springs, alpha_sing=0.0) == 0.0
 
 
+@pytest.mark.parametrize("alpha_sing", [-0.5, math.nan, math.inf])
+def test_total_energy_rejects_invalid_alpha_sing(alpha_sing):
+    # A non-finite range used to run the Simpson rule to its panel limit and
+    # return NaN.
+    with pytest.raises(ValueError, match="alpha_sing"):
+        total_energy(UNIT, unit_springs(), alpha_sing=alpha_sing)
+
+
 def test_total_energy_requires_singularity(monkeypatch):
     energy_module = importlib.import_module("tenseg.energy")
     monkeypatch.setattr(energy_module, "singular_angles",

@@ -6,9 +6,63 @@ import math
 import numpy as np
 import pytest
 
-from tenseg import (DesignBounds, EmptyGrid, SpringSpec, Stability,
-                    enumerate_grid, evaluate_design, optimize)
-from tenseg.optimizer import _evaluate_chunk, capped_alpha_sing
+from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
+                    SpringParams, SpringSpec, Stability,
+                    classify_home_stability, energy, optimize,
+                    singular_angles, total_energy)
+from tenseg.optimizer import DesignRecord, _evaluate_chunk, capped_alpha_sing
+from tenseg.polyroots import Polynomial, cauchy_root_bound, real_roots
+from tenseg.singularity import quartic_coefficients, quartic_real_roots
+
+# ---------------------------------------------------------------------------
+# scalar reference pipeline
+
+
+def enumerate_grid(bounds: DesignBounds):
+    """Yield every design vector ``(h1, h2, h3, l1, lam)`` in sweep order.
+
+    The order is taper-major (``lam`` outermost, then ``h1``, ``h2``, ``l1``),
+    matching the flat chunk indexing of :func:`optimize`.
+    """
+    h1_axis = bounds.h1_axis()
+    h2_axis = bounds.h2_axis()
+    l1_axis = bounds.l1_axis()
+    for lam in bounds.lambda_axis():
+        for h1 in h1_axis:
+            for h2 in h2_axis:
+                for l1 in l1_axis:
+                    yield (float(h1), float(h2), float(h1), float(l1), float(lam))
+
+
+def evaluate_design(x, springs: SpringSpec | None = None) -> DesignRecord:
+    """Evaluate one design vector through the scalar reference pipeline."""
+    springs = springs or SpringSpec()
+    h1, h2, h3, l1, lam = (float(v) for v in x)
+    l2 = lam * l1
+    x = (h1, h2, h3, l1, lam)
+    try:
+        g = SegmentGeometry(h1=h1, h2=h2, h3=h3, l1=l1, l2=l2)
+    except InvalidGeometry:
+        nan = float("nan")
+        return DesignRecord(x=x, l2=l2, feasible=False, alpha_sing=nan,
+                            total_energy=nan, energy_at_zero=nan,
+                            energy_at_sing=nan, stability=None, curvature=nan)
+    alpha_sing = capped_alpha_sing(singular_angles(g).alpha_sing)
+    params = SpringParams.for_geometry(g, springs.k1, springs.k2,
+                                       springs.rest_fraction)
+    verdict = classify_home_stability(g, params)
+    return DesignRecord(
+        x=x,
+        l2=l2,
+        feasible=True,
+        alpha_sing=alpha_sing,
+        total_energy=total_energy(g, params, alpha_sing=alpha_sing),
+        energy_at_zero=float(energy(g, params, 0.0)),
+        energy_at_sing=float(energy(g, params, alpha_sing)),
+        stability=verdict.stability,
+        curvature=verdict.curvature,
+    )
+
 
 # ---------------------------------------------------------------------------
 # grid definition
@@ -137,6 +191,38 @@ def test_chunk_evaluation_matches_reference():
                 Stability.NEUTRAL)[code] is reference.stability
         assert curvature == pytest.approx(reference.curvature,
                                           rel=1e-6, abs=1e-9)
+
+
+def test_quartic_kernel_agrees_with_sturm_fallback_on_grid_designs():
+    bounds = DesignBounds(h1_res=5, h2_res=11, l1_res=9, lambda_res=5)
+    h1, h2, _, l1, lam = (np.array(v) for v in zip(*enumerate_grid(bounds)))
+    feasible = h2 > 0.0
+    h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
+    l2 = lam * l1
+    coeffs = quartic_coefficients(h1, h2, h1, l1, l2)
+    roots, certified = quartic_real_roots(coeffs)
+    assert certified.sum() >= 0.9 * len(certified)
+    for row, found in zip(coeffs[certified], roots[certified]):
+        p = Polynomial(tuple(row))
+        bound = cauchy_root_bound(p)
+        sturm = real_roots(p, -bound, bound)
+        assert sturm.multiplicities == (1,) * len(sturm.roots)
+        assert 2.0 * np.arctan(found[found == found]) == pytest.approx(
+            2.0 * np.arctan(sturm.roots), abs=1e-12)
+
+    # The sweep's capped score is the scalar API's, bit for bit off the flat
+    # face (which the sweep takes in closed form).
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
+    for row in range(len(h1)):
+        g = SegmentGeometry(h1=h1[row], h2=h2[row], h3=h1[row], l1=l1[row],
+                            l2=l2[row])
+        scalar = capped_alpha_sing(singular_angles(g).alpha_sing)
+        swept = capped_alpha_sing(float(nearest[row]))
+        if h1[row] > 0.0:
+            assert swept == scalar
+        else:
+            assert swept == pytest.approx(scalar, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

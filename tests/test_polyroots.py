@@ -1,4 +1,4 @@
-"""Tests for certified real-root isolation and the half-angle polynomial."""
+"""Tests for certified real-root isolation and the half-angle quartic."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT, random_geometry
-from tenseg import (DegenerateInput, Polynomial, half_angle_polynomial,
-                    real_roots, singularity_condition, sturm_root_count)
+from conftest import UNIT, random_geometry, sturm_root_count
+from tenseg import (DegenerateInput, Polynomial, real_roots,
+                    singularity_condition)
 from tenseg.polyroots import cauchy_root_bound, square_free_part
+from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 
 def poly_from_roots(roots, leading=1.0, complex_pairs=()):
@@ -200,50 +201,59 @@ def test_random_coefficients_roots_are_certified(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# half-angle polynomial
+# half-angle quartic
+
+
+def half_angle_quartic(g) -> Polynomial:
+    return Polynomial(tuple(quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)))
 
 
 def test_half_angle_polynomial_degree_and_known_root():
-    p = half_angle_polynomial(UNIT)
-    assert p.degree == 8
+    p = half_angle_quartic(UNIT)
+    assert p.degree == 4
     scale = max(abs(c) for c in p.coeffs)
     assert abs(p(math.tan(-math.pi / 8))) < 1e-9 * scale
 
 
 def test_half_angle_polynomial_matches_condition():
+    # q(tan(a/2)) = (1 + t^2)^2 * condition(a).
     rng = np.random.default_rng(41)
     for _ in range(25):
         g = random_geometry(rng)
         for alpha in rng.uniform(-2.8, 2.8, size=50):
             t = math.tan(alpha / 2.0)
-            p = half_angle_polynomial(g)
-            ratio = p(t) / (1.0 + t * t) ** 4
+            p = half_angle_quartic(g)
+            ratio = p(t) / (1.0 + t * t) ** 2
             assert ratio == pytest.approx(
                 singularity_condition(g, alpha), rel=1e-9, abs=1e-9)
 
 
 def test_half_angle_closed_form_vs_interpolation():
     # Second derivation of the coefficients: sample the cleared-denominator
-    # expression and fit a degree-8 polynomial through the samples.
+    # expression and fit a degree-4 polynomial through the samples.
     rng = np.random.default_rng(43)
     nodes = 3.0 * np.cos((2 * np.arange(25) + 1) * np.pi / 50)
     for _ in range(20):
         g = random_geometry(rng)
         alphas = 2.0 * np.arctan(nodes)
-        values = singularity_condition(g, alphas) * (1.0 + nodes ** 2) ** 4
-        fitted = np.polynomial.polynomial.polyfit(nodes, values, 8)
-        closed = np.array(half_angle_polynomial(g).coeffs)
+        values = singularity_condition(g, alphas) * (1.0 + nodes ** 2) ** 2
+        fitted = np.polynomial.polynomial.polyfit(nodes, values, 4)
+        closed = np.array(half_angle_quartic(g).coeffs)
         scale = np.abs(closed).max()
         assert fitted == pytest.approx(closed, abs=1e-8 * scale)
 
 
 def test_half_angle_roots_match_dense_scan_for_flat_design():
-    # Flat end links: the condition has closed-form sign changes.
+    # Flat end links: the condition has closed-form sign changes.  Both the
+    # kernel and the Sturm fallback find them on the quartic.
     from tenseg import SegmentGeometry
     g = SegmentGeometry(h1=0.0, h2=1.0, h3=0.0, l1=1.0, l2=1.0)
-    p = half_angle_polynomial(g)
+    p = half_angle_quartic(g)
     bound = cauchy_root_bound(p)
     angles = sorted(2.0 * math.atan(t) for t in real_roots(p, -bound, bound).roots)
+    roots, certified = quartic_real_roots(np.array([p.coeffs]))
+    assert certified[0]
+    assert 2.0 * np.arctan(roots[0]) == pytest.approx(angles, abs=1e-12)
 
     alphas = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 100_000)
     values = singularity_condition(g, alphas)
@@ -254,7 +264,7 @@ def test_half_angle_roots_match_dense_scan_for_flat_design():
 
 
 def test_half_angle_unit_geometry_angle_set():
-    p = half_angle_polynomial(UNIT)
+    p = half_angle_quartic(UNIT)
     limit = math.tan(math.pi / 2 - 1e-3)
     found = real_roots(p, -limit, limit)
     angles = sorted(2.0 * math.atan(t) for t in found.roots)
@@ -265,3 +275,6 @@ def test_half_angle_unit_geometry_angle_set():
         math.atan((1 - math.sqrt(7)) / (-1 - math.sqrt(7))) - math.pi,
     ])
     assert angles == pytest.approx(expected, abs=1e-9)
+    roots, certified = quartic_real_roots(np.array([p.coeffs]))
+    assert certified[0]
+    assert sorted(2.0 * np.arctan(roots[0])) == pytest.approx(expected, abs=1e-12)

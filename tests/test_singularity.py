@@ -1,14 +1,19 @@
 """Tests for the singularity locus and the travel limit alpha_sing."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import STABLE_FLAT, UNIT, random_geometry
-from tenseg import (SegmentGeometry, SingularitySet, half_angle_polynomial,
-                    normalize_angle, scan_singularities, singular_angles,
-                    singularity_condition)
+import conftest
+from conftest import STABLE_FLAT, UNIT, random_geometry, scan_singularities
+from tenseg import (SegmentGeometry, SingularitySet, normalize_angle,
+                    singular_angles, singularity_condition)
+from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 # Closed-form loop-1 singular angles of the all-ones segment.
 UNIT_LOOP1 = sorted([
@@ -22,10 +27,15 @@ UNIT_LOOP1 = sorted([
 # zero without crossing near alpha = 2.7777: a tangential double singularity.
 TANGENT = SegmentGeometry(h1=1.0, h2=2.2823894612648949, h3=1.0,
                           l1=1.0, l2=0.5)
+# Flat square: the condition factors as 8 cos(a) (sin(a) - 1), a triple root
+# at +pi/2.  Half turn: h2 = 2 h1 with h3 = h1 makes alpha = pi singular.
+FLAT_SQUARE = SegmentGeometry(h1=0.0, h2=2.0, h3=0.0, l1=1.0, l2=1.0)
+HALF_TURN = SegmentGeometry(h1=1.0, h2=2.0, h3=1.0, l1=1.0, l2=0.7)
 
 
 def condition_scale(g):
-    return max(abs(c) for c in half_angle_polynomial(g).coeffs)
+    return float(np.abs(quartic_coefficients(g.h1, g.h2, g.h3, g.l1,
+                                             g.l2)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ def test_scan_rejects_small_sample_counts():
 
 
 def test_scan_empty_when_condition_never_crosses(monkeypatch):
-    monkeypatch.setattr("tenseg.singularity.singularity_condition",
+    monkeypatch.setattr(conftest, "singularity_condition",
                         lambda g, alphas: np.ones_like(np.asarray(alphas)))
     assert scan_singularities(UNIT, 10_000) == []
 
@@ -223,3 +233,140 @@ def test_singularity_set_is_value_object():
     again = singular_angles(UNIT)
     assert isinstance(found, SingularitySet)
     assert found == again
+
+
+# ---------------------------------------------------------------------------
+# the certified kernel on near-degenerate designs, against a 30-digit oracle
+
+# Oracle roots closer than this (in angle) form one cluster: rounding the
+# coefficients spreads an m-fold root by about 1e-16 ** (1 / m), 5e-6 for a
+# triple root.
+CLUSTER = 1e-4
+
+
+def certified(g):
+    coeffs = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)
+    return bool(quartic_real_roots(coeffs[None, :])[1][0])
+
+
+def test_kernel_certificate_on_reference_designs():
+    assert certified(UNIT)
+    # A double root (Delta = 0 to rounding) and a triple root go to the
+    # Sturm fallback.
+    assert not certified(TANGENT)
+    assert not certified(FLAT_SQUARE)
+    # The half turn's quartic is exactly a cubic with three simple roots,
+    # which its discriminant certifies; alpha = pi is added separately.
+    assert certified(HALF_TURN)
+    assert singular_angles(HALF_TURN).multiplicities == (1, 1, 1, 1)
+
+
+def oracle_roots(g):
+    """Loop-1 singular angles of ``g`` found by mpmath at 30 digits.
+
+    The quartic is formed exactly from the float dimensions.  Returns its
+    real roots as ``(angle, tolerance)`` pairs, with ``pi`` once per
+    vanishing leading term, and the angles of its complex roots within
+    ``CLUSTER`` of the real axis.  The tolerance is how far a simple root
+    moves when each coefficient changes by 1e-14 of its size and the leading
+    one by 1e-12 of the largest (the kernel drops a leading term that small).
+    """
+    h1, h2, h3, l1, l2 = (Fraction(v) for v in (g.h1, g.h2, g.h3, g.l1, g.l2))
+    a, b = -2 * h2 * (h1 + h3), -2 * h2 * (l1 + l2)
+    c, d = -4 * (h3 * l1 + h1 * l2), 4 * (l1 * l2 - h1 * h3)
+    q = [b + c, 2 * a + 4 * d, -6 * c, 2 * a - 4 * d, c - b]
+    real, near = [], []
+    while q[-1] == 0:
+        q.pop()
+        real.append((math.pi, 1e-12))
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpf(x.numerator) / x.denominator for x in q[::-1]]
+        for z in mpmath.polyroots(coeffs, maxsteps=2000, extraprec=300):
+            angle = 2 * mpmath.atan(mpmath.mpc(z))
+            if abs(angle.imag) <= 1e-20:
+                t = mpmath.re(z)
+                size = (1e-14 * mpmath.polyval([abs(x) for x in coeffs], abs(t))
+                        + 1e-12 * max(abs(x) for x in coeffs) * abs(t) ** 4)
+                degree = len(coeffs) - 1
+                slope = abs(mpmath.polyval(
+                    [(degree - k) * x for k, x in enumerate(coeffs[:-1])], t))
+                tolerance = (1e-12 + float(2 * size / slope / (1 + t * t))
+                             if slope else math.inf)
+                real.append((float(angle.real), tolerance))
+            elif abs(angle.imag) <= CLUSTER:
+                near.append(float(angle.real))
+    return real, near
+
+
+def clusters(points):
+    """Group ``(angle, tag)`` pairs whose angles chain within CLUSTER on the
+    circle."""
+    points = sorted(points, key=lambda point: point[0])
+    groups = [[points[0]]]
+    for point in points[1:]:
+        if point[0] - groups[-1][-1][0] <= CLUSTER:
+            groups[-1].append(point)
+        else:
+            groups.append([point])
+    if len(groups) > 1 and groups[0][0][0] + 2 * math.pi - groups[-1][-1][0] <= CLUSTER:
+        groups[0] += groups.pop()
+    return groups
+
+
+def assert_matches_oracle(g):
+    found = singular_angles(g)
+    real, near = oracle_roots(g)
+    points = ([(a, ("real", tol)) for a, tol in real]
+              + [(a, ("near", 0.0)) for a in near]
+              + [(a, m) for a, m in zip(found.loop1, found.multiplicities)])
+    for group in clusters(points):
+        oracle = [(a, tag) for a, tag in group if isinstance(tag, tuple)]
+        n_real = sum(tag[0] == "real" for _, tag in oracle)
+        returned = [(a, m) for a, m in group if isinstance(m, int)]
+        total = sum(m for _, m in returned)
+        where = f"{g} near alpha = {group[0][0]:.9f}: {group}"
+        assert returned or not n_real, f"root missed: {where}"
+        assert oracle, f"root invented: {where}"
+        # Crossings are preserved; a tangency may come back as one root of
+        # even multiplicity.
+        assert total % 2 == n_real % 2, f"parity: {where}"
+        assert total <= len(oracle), f"too many roots: {where}"
+        if len(oracle) == 1 == n_real:
+            [(angle, (_, tolerance))] = oracle
+            [(mine, _)] = returned
+            error = abs(math.remainder(mine - angle, 2 * math.pi))
+            assert error <= tolerance, f"off by {error:.2g}: {where}"
+
+
+def test_oracle_agrees_on_random_geometries():
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        assert_matches_oracle(random_geometry(rng))
+
+
+@st.composite
+def near_degenerate_designs(draw):
+    """Designs within 10**-k of the tangency, the flat-square triple root or
+    the half turn."""
+    eps = 10.0 ** -draw(st.integers(2, 15))
+    kind = draw(st.sampled_from(("tangent", "flat square", "half turn")))
+    if kind == "tangent":
+        return SegmentGeometry(h1=1.0, h2=TANGENT.h2 + draw(st.sampled_from(
+            (-eps, eps))), h3=1.0, l1=1.0, l2=0.5)
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+    if kind == "flat square":
+        return SegmentGeometry(h1=abs(u[0]) * eps, h2=2.0 + u[1] * eps,
+                               h3=abs(u[2]) * eps, l1=1.0 + u[3] * eps,
+                               l2=1.0 + u[4] * eps)
+    h1 = 1.0 + 0.5 * u[0]
+    return SegmentGeometry(h1=h1, h2=2.0 * h1 + u[1] * eps, h3=h1,
+                           l1=1.0 + 0.5 * u[3], l2=1.0 + 0.5 * u[4])
+
+
+@given(near_degenerate_designs())
+@example(TANGENT)
+@example(FLAT_SQUARE)
+@example(HALF_TURN)
+@settings(max_examples=60, deadline=None)
+def test_near_degenerate_designs_match_oracle(g):
+    assert_matches_oracle(g)
