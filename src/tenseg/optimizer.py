@@ -192,8 +192,8 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
                                  np.arcsin(np.minimum(ratio, 1.0)))
     rest = ~flat
     if rest.any():
-        roots, _ = quartic_real_roots(quartic_coefficients(
-            h1[rest], h2[rest], h3[rest], l1[rest], l2[rest]))
+        roots = quartic_real_roots(quartic_coefficients(
+            h1[rest], h2[rest], h3[rest], l1[rest], l2[rest]))[0]
         closest = np.fmin.reduce(np.abs(2.0 * np.arctan(roots)), axis=1)
         nearest[rest] = np.where(np.isnan(closest), np.inf, closest)
     return nearest

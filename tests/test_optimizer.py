@@ -200,7 +200,7 @@ def test_quartic_kernel_agrees_with_sturm_fallback_on_grid_designs():
     h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
     l2 = lam * l1
     coeffs = quartic_coefficients(h1, h2, h1, l1, l2)
-    roots, certified = quartic_real_roots(coeffs)
+    roots, _, _, certified = quartic_real_roots(coeffs)
     assert certified.sum() >= 0.9 * len(certified)
     for row, found in zip(coeffs[certified], roots[certified]):
         p = Polynomial(tuple(row))

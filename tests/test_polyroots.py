@@ -251,7 +251,7 @@ def test_half_angle_roots_match_dense_scan_for_flat_design():
     p = half_angle_quartic(g)
     bound = cauchy_root_bound(p)
     angles = sorted(2.0 * math.atan(t) for t in real_roots(p, -bound, bound).roots)
-    roots, certified = quartic_real_roots(np.array([p.coeffs]))
+    roots, _, _, certified = quartic_real_roots(np.array([p.coeffs]))
     assert certified[0]
     assert 2.0 * np.arctan(roots[0]) == pytest.approx(angles, abs=1e-12)
 
@@ -275,6 +275,6 @@ def test_half_angle_unit_geometry_angle_set():
         math.atan((1 - math.sqrt(7)) / (-1 - math.sqrt(7))) - math.pi,
     ])
     assert angles == pytest.approx(expected, abs=1e-9)
-    roots, certified = quartic_real_roots(np.array([p.coeffs]))
+    roots, _, _, certified = quartic_real_roots(np.array([p.coeffs]))
     assert certified[0]
     assert sorted(2.0 * np.arctan(roots[0])) == pytest.approx(expected, abs=1e-12)

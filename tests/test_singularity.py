@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import STABLE_FLAT, UNIT, random_geometry, scan_singularities
-from tenseg import (SegmentGeometry, SingularitySet, normalize_angle,
-                    singular_angles, singularity_condition)
+import tenseg.singularity as singularity_module
+from tenseg import (DesignBounds, SegmentGeometry, SingularitySet,
+                    normalize_angle, singular_angles, singularity_condition)
+from tenseg.optimizer import _CHUNK
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 # Closed-form loop-1 singular angles of the all-ones segment.
@@ -246,7 +248,7 @@ CLUSTER = 1e-4
 
 def certified(g):
     coeffs = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)
-    return bool(quartic_real_roots(coeffs[None, :])[1][0])
+    return bool(quartic_real_roots(coeffs[None, :])[3][0])
 
 
 def test_kernel_certificate_on_reference_designs():
@@ -259,6 +261,94 @@ def test_kernel_certificate_on_reference_designs():
     # which its discriminant certifies; alpha = pi is added separately.
     assert certified(HALF_TURN)
     assert singular_angles(HALF_TURN).multiplicities == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("g", [TANGENT, FLAT_SQUARE], ids=["tangent", "flat"])
+def test_uncertified_design_runs_the_fallback_once(monkeypatch, g):
+    real_roots = singularity_module.real_roots
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_roots(*args)
+
+    monkeypatch.setattr(singularity_module, "real_roots", counted)
+    found = singular_angles(g)
+    assert len(calls) == 1
+    # The multiplicities come from that one call.
+    assert 2 in found.multiplicities or 3 in found.multiplicities
+
+
+def default_grid_kernel_rows():
+    """``(h1, h2, l1, lam, flat index)`` of the default grid's designs that the
+    sweep sends to the quartic kernel (``h1 > 0``, ``h2 > 0``)."""
+    bounds = DesignBounds()
+    axes = (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
+            bounds.l1_axis())
+    lam, h1, h2, l1 = (v.ravel() for v in np.meshgrid(*axes, indexing="ij"))
+    index = np.flatnonzero((h1 > 0.0) & (h2 > 0.0))
+    return h1[index], h2[index], l1[index], lam[index], index
+
+
+def test_kernel_rows_do_not_depend_on_the_batch():
+    # The default-grid chunk that holds a fallback row (a triple root at
+    # lambda = 1) and h2 = 2 h1 rows of degree 3.
+    h1, h2, l1, lam, index = default_grid_kernel_rows()
+    target = np.flatnonzero((h1 == 0.2) & (h2 == 0.5) & (lam == 1.0)
+                            & (np.abs(l1 - 0.15) < 1e-12))[0]
+    rows = index // _CHUNK == index[target] // _CHUNK
+    coeffs = quartic_coefficients(h1[rows], h2[rows], h1[rows], l1[rows],
+                                  lam[rows] * l1[rows])
+    unit = coeffs.T / np.abs(coeffs).max()
+    invariants = singularity_module._invariants(unit)
+    roots, mults, degree, certified = quartic_real_roots(coeffs)
+    assert {3, 4} <= set(degree.tolist())
+    assert not certified.all()
+    for k, row in enumerate(coeffs):
+        for whole, alone in zip(invariants,
+                                singularity_module._invariants(unit[:, k:k + 1])):
+            assert np.array_equal(whole[:, k], alone[:, 0])
+        one = quartic_real_roots(row[None, :])
+        assert one[3][0] == certified[k] and one[2][0] == degree[k]
+        assert np.array_equal(one[0][0], roots[k], equal_nan=True)
+        assert np.array_equal(one[1][0], mults[k])
+
+
+def test_default_grid_falls_back_only_on_its_triple_roots():
+    # Each fallback costs milliseconds of Sturm isolation; a rise in their
+    # number shows here before it shows in the sweep's time.
+    h1, h2, l1, lam, _ = default_grid_kernel_rows()
+    _, mults, _, certified = quartic_real_roots(
+        quartic_coefficients(h1, h2, h1, l1, lam * l1))
+    fallback = ~certified
+    designs = {(round(a, 12), round(b, 12), round(c, 12), d)
+               for a, b, c, d in zip(h1[fallback], h2[fallback], l1[fallback],
+                                     lam[fallback])}
+    assert designs == {(0.2, 0.5, 0.15, 1.0), (0.4, 1.7, 0.75, 1.0),
+                       (0.6, 1.3, 0.25, 1.0), (0.6, 1.5, 0.45, 1.0)}
+    assert all(3 in row for row in mults[fallback].tolist())
+
+
+def test_certified_roots_match_oracle_across_magnitudes():
+    # Dimensions spanning six decades give quartics whose roots span many
+    # more; closed-form starting points lose digits there, so a certified
+    # root must have converged to within 1e-13 (1 + |t|) of the 30-digit
+    # roots of the same float coefficients.
+    rng = np.random.default_rng(1)
+    dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))
+    coeffs = quartic_coefficients(*dims.T)
+    all_roots, _, _, certified = quartic_real_roots(coeffs)
+    assert certified.mean() >= 0.95
+    for row, roots in zip(coeffs[certified], all_roots[certified]):
+        with mpmath.workdps(30):
+            exact = [mpmath.mpf(float(c)) for c in row[::-1]]
+            oracle = sorted(float(mpmath.re(z)) for z in mpmath.polyroots(
+                exact, maxsteps=500, extraprec=200)
+                if abs(mpmath.im(z)) <= 1e-20 * (1 + abs(z)))
+        mine = roots[~np.isnan(roots)]
+        assert len(mine) == len(oracle), (row, mine, oracle)
+        assert np.all(np.abs(mine - oracle) <= 1e-13 * (1.0 + np.abs(oracle))), (
+            row, mine, oracle)
 
 
 def oracle_roots(g):
