@@ -1,8 +1,8 @@
 """Analysis toolkit for stacked planar tensegrity mechanisms.
 
 Kinematics (:mod:`tenseg.geometry`), singular angles from one certified
-quartic kernel (:mod:`tenseg.singularity`, Sturm fallback in
-:mod:`tenseg.polyroots`), spring-energy stability (:mod:`tenseg.energy`), a
+quartic kernel with a sign-based fallback for multiple roots
+(:mod:`tenseg.singularity`), spring-energy stability (:mod:`tenseg.energy`), a
 design grid search (:mod:`tenseg.optimizer`) and a CLI (:mod:`tenseg.cli`).
 """
 
@@ -17,8 +17,7 @@ from .geometry import (Frame2D, InvalidGeometry, InvalidRatio, SegmentGeometry,
                        validate_geometry)
 from .optimizer import (DesignBounds, DesignRecord, EmptyGrid,
                         OptimizationReport, SpringSpec, optimize)
-from .polyroots import DegenerateInput, Polynomial, RootSet, real_roots
-from .singularity import SingularitySet, singular_angles
+from .singularity import DegenerateInput, SingularitySet, singular_angles
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "validate_geometry",
     "DesignBounds", "DesignRecord", "EmptyGrid", "OptimizationReport",
     "SpringSpec", "optimize",
-    "DegenerateInput", "Polynomial", "RootSet", "real_roots",
-    "SingularitySet", "singular_angles",
+    "DegenerateInput", "SingularitySet", "singular_angles",
     "__version__",
 ]

@@ -23,6 +23,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .energy import (InvalidFraction, NoSingularity, SpringParams,
                      energy, energy_profile, total_energy,
                      classify_home_stability)
@@ -138,8 +140,12 @@ def _parse_alphas(config: dict) -> list[float]:
         raise ConfigError("alphas", "missing required list of angles (radians)")
     if not isinstance(alphas, list) or not alphas:
         raise ConfigError("alphas", "must be a non-empty list of numbers")
-    return [_as_number(value, f"alphas[{index}]")
-            for index, value in enumerate(alphas)]
+    values = [_as_number(value, f"alphas[{index}]")
+              for index, value in enumerate(alphas)]
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            raise ConfigError(f"alphas[{index}]", f"must be finite, got {value}")
+    return values
 
 
 def _parse_stack(config: dict):
@@ -397,8 +403,11 @@ def cmd_singularities(config: dict, opts) -> int:
     rows = []
     for loop, angles in ((1, found.loop1), (2, found.loop2)):
         for alpha in angles:
-            residual = abs(float(singularity_condition(
-                g, alpha if loop == 1 else -alpha)))
+            # A design near the float limit overflows the condition, which
+            # is quadratic in its dimensions: its residual is written nan.
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = abs(float(singularity_condition(
+                    g, alpha if loop == 1 else -alpha)))
             rows.append([loop, _quant(_angle_out(alpha, opts.degrees)),
                          _quant(residual)])
     alpha_sing = found.alpha_sing
@@ -421,10 +430,17 @@ def cmd_energy_profile(config: dict, opts) -> int:
     samples = _resolve_samples(config, opts)
     explicit_range = _resolve_range(config, opts)
     try:
-        springs = SpringParams.for_geometry(g, spec.k1, spec.k2,
-                                            spec.rest_fraction)
+        # An overflowing home cable length is reported below, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            springs = SpringParams.for_geometry(g, spec.k1, spec.k2,
+                                                spec.rest_fraction)
     except InvalidFraction as exc:
         raise ConfigError("springs.rest_fraction", str(exc)) from exc
+    except ValueError as exc:
+        # The spring constants are checked already; only the rest length,
+        # a fraction of the home cable length, can still be out of range.
+        raise ConfigError("geometry", f"no finite spring rest length: "
+                          f"{exc}") from exc
 
     alpha_sing = singular_angles(g).alpha_sing
     if explicit_range is None and alpha_sing is None:

@@ -17,8 +17,11 @@ distinct real roots from the invariants ``I``, ``J``, ``P`` and ``D`` (Rees,
 Amer. Math. Monthly 29, 1922), each with a rounding bound.  A row is
 certified when the invariants clear their bounds, the count equals the number
 of kept roots and no two kept roots lie within 1e-6 relative.  Other rows (a
-double or triple root, or a discriminant at the rounding level) go to Sturm
-isolation, :func:`tenseg.polyroots.real_roots`.
+double or triple root, or a discriminant at the rounding level) are solved
+one by one from the signs of ``q`` at its critical points, which split the
+line into pieces where ``q`` is monotone: a certain sign change between two
+of them holds one simple root, and a critical point where ``q`` vanishes to
+rounding is a multiple root (Lazard, J. Symbolic Comput. 5, 1988).
 
 ``alpha = pi`` is a root of multiplicity ``4 - degree`` when the leading
 coefficients vanish.  The key figure of merit is ``alpha_sing``: the singular
@@ -33,9 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SegmentGeometry, normalize_angle
-from .polyroots import _TRIM_REL, Polynomial, cauchy_root_bound, real_roots
 
-# Relative size above which a starting point's imaginary part marks it complex.
+# Leading coefficients at most _TRIM_REL times the row's largest count as
+# zero when fixing the degree.
+_TRIM_REL = 1e-12
+# Relative size above which an imaginary part marks a closed-form starting
+# point, or a critical point of the fallback, as complex.
 _REALISH_REL = 1e-6
 # Largest |q(t)| / (scale * (1 + |t|)**degree) accepted as a root.
 _RESIDUAL_REL = 1e-8
@@ -47,6 +53,13 @@ _SEPARATION_REL = 1e-6
 # Rounding bound of an invariant, relative to the sum of its terms' sizes:
 # each takes at most a dozen roundings, so this is over 20 times generous.
 _INVARIANT_REL = 4e-14
+# |p(x)| <= _SIGN_REL * len(p) * sum(|p_k| |x|^k) may be rounding alone:
+# Horner's rule rounds 2 * degree times, and a root is known to a float.
+_SIGN_REL = 4e-16
+
+
+class DegenerateInput(ValueError):
+    """The quartic is identically zero: every angle is singular."""
 
 
 @dataclass(frozen=True)
@@ -202,15 +215,102 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
     return np.where(kept, t, np.nan)
 
 
+def _horner(c, x: float) -> tuple[float, float]:
+    """``sum(c[k] x**k)`` by Horner's rule, and the same sum of magnitudes."""
+    value = size = 0.0
+    for ck in reversed(c):
+        value = value * x + ck
+        size = size * abs(x) + abs(ck)
+    return value, size
+
+
+def _sign(c, x: float) -> int:
+    """Sign of ``sum(c[k] x**k)``, or 0 where rounding could flip it."""
+    value, size = _horner(c, x)
+    if abs(value) <= _SIGN_REL * len(c) * size:
+        return 0
+    return 1 if value > 0.0 else -1
+
+
+def _bisect(c, lo: float, hi: float, sign_lo: int) -> float:
+    """The root of ``c`` in [lo, hi], narrowed to neighbouring floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        value = _horner(c, mid)[0]
+        if value == 0.0:
+            return mid
+        if (value > 0.0) == (sign_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _cauchy_bound(c) -> float:
+    """Every root of the ascending ``c`` lies within ``1 + max|c_k / c_n|``."""
+    return 1.0 + max((abs(v) for v in c[:-1]), default=0.0) / abs(c[-1])
+
+
+def _fallback_roots(row):
+    """Distinct real roots, multiplicities and degree of one ascending row.
+
+    ``q`` is monotone between its real critical points (the real roots of
+    ``q'``) and has the sign of its leading term beyond the Cauchy bound.
+    Between two probes of certain, opposite sign lies one simple root.  A run
+    of probes whose sign rounding could flip is one multiple root: of
+    multiplicity 3 when the signs around it differ (placed at the root of
+    ``q''``, since the double root of ``q'`` is good only to about 1e-8),
+    else 2, or 4 when ``q`` and ``q''`` vanish where ``q'''`` does.
+    """
+    c = [float(v) for v in row]
+    scale = max(abs(v) for v in c)
+    if scale == 0.0:
+        raise DegenerateInput("the zero quartic is singular everywhere")
+    while abs(c[-1]) <= _TRIM_REL * scale:
+        c.pop()
+    degree = len(c) - 1
+    dc = [k * v for k, v in enumerate(c)][1:]
+    ddc = [k * v for k, v in enumerate(dc)][1:]
+    bound = _cauchy_bound(c)
+    lead = 1 if c[-1] > 0.0 else -1
+    critical = sorted({z.real for z in np.roots(dc[::-1])
+                       if abs(z.imag) <= _REALISH_REL * (1.0 + abs(z.real))})
+    probes = [(-bound, lead * (-1) ** degree),
+              *((x, _sign(c, x)) for x in critical if abs(x) < bound),
+              (bound, lead)]
+    roots, mults, run = [], [], []
+    (left, sign_left), *rest = probes
+    for x, sign in rest:
+        if not sign:
+            run.append(x)
+            continue
+        if run:
+            at, mult = min(run, key=lambda r: abs(_horner(c, r)[0])), 2
+            if sign != sign_left:
+                at, mult = min(np.roots(ddc[::-1]).real,
+                               key=lambda r: abs(r - at)), 3
+            elif degree == 4:
+                # Only a quadruple root has q = q'' = 0 where q''' vanishes.
+                center = -c[3] / (4.0 * c[4])
+                if not (_sign(c, center) or _sign(ddc, center)):
+                    at, mult = center, 4
+            roots.append(at)
+            mults.append(mult)
+        elif sign != sign_left:
+            roots.append(_bisect(c, left, x, sign_left))
+            mults.append(1)
+        left, sign_left, run = x, sign, []
+    return roots, mults, degree
+
+
 def quartic_real_roots(coeffs):
     """Distinct real roots of each ``(n, 5)`` ascending quartic row, certified.
 
     Returns ``(roots, multiplicities, degree, certified)``: the first two are
     ``(n, 4)``, each row sorted ascending and padded with NaN and 0.  Certified
     rows have simple roots; the others, and all of degree below 3, are solved
-    by Sturm isolation (which raises ``DegenerateInput`` for a zero row).  A
-    leading coefficient at most ``1e-12`` times the row's largest counts as
-    zero.
+    from the signs at their critical points (a zero row raises
+    :class:`DegenerateInput`).  A leading coefficient at most ``1e-12`` times
+    the row's largest counts as zero.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
     roots = np.full((4, cols.shape[1]), np.nan)
@@ -235,18 +335,21 @@ def quartic_real_roots(coeffs):
     roots = roots.T
     mults = (roots == roots).astype(np.int64)
     for i in np.flatnonzero(~certified):
-        p = Polynomial(cols[:, i])
-        found = real_roots(p, -cauchy_root_bound(p), cauchy_root_bound(p))
-        roots[i] = (found.roots + (np.nan,) * 4)[:4]
-        mults[i] = (found.multiplicities + (0,) * 4)[:4]
-        degree[i] = p.degree
+        found, found_mults, degree[i] = _fallback_roots(cols[:, i])
+        roots[i] = (found + [np.nan] * 4)[:4]
+        mults[i] = (found_mults + [0] * 4)[:4]
     return roots, mults, degree, certified
 
 
 def singular_angles(g: SegmentGeometry) -> SingularitySet:
     """All singular angles of both loops of ``g`` in (-pi, pi]."""
+    # Scaling the design leaves its singular angles alone, and scaling by a
+    # power of two is exact short of the subnormals: with the largest
+    # dimension in [0.5, 1) the quartic can neither overflow nor vanish.
+    dims = np.array([g.h1, g.h2, g.h3, g.l1, g.l2])
+    dims = np.ldexp(dims, -np.frexp(dims.max())[1])
     roots, mults, degree, _ = quartic_real_roots(
-        quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)[None, :])
+        quartic_coefficients(*dims)[None, :])
     real = mults[0] > 0
     # The sweep takes the same arctangent, so both agree to the last bit.
     loop1 = (2.0 * np.arctan(roots[0][real])).tolist()

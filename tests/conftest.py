@@ -3,10 +3,10 @@ the independent oracles the root finders are checked against."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from tenseg import SegmentGeometry, singularity_condition
-from tenseg.polyroots import _sign_variations, _sturm_chain, square_free_part
 
 # The all-ones segment: every spine link and half-width equal to 1.  Its
 # loop-1 singular angles have closed forms (see test_singularity).
@@ -68,10 +68,15 @@ def scan_singularities(g, n: int = 1_000_000):
     return [(float(alphas[i]), float(alphas[i + 1])) for i in flips]
 
 
-def sturm_root_count(p, lo: float, hi: float) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (lo, hi]."""
-    sf = square_free_part(p)
-    if sf.degree < 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def oracle_real_roots(coeffs) -> list[float]:
+    """Real roots of the ascending float ``coeffs``, taken exactly, found by
+    mpmath at 30 digits; a root of multiplicity m comes back m times."""
+    with mpmath.workdps(30):
+        exact = [mpmath.mpf(float(c)) for c in coeffs[::-1]]
+        while exact and exact[0] == 0:
+            exact.pop(0)
+        if len(exact) < 2:
+            return []
+        return sorted(float(mpmath.re(z)) for z in mpmath.polyroots(
+            exact, maxsteps=500, extraprec=200)
+            if abs(mpmath.im(z)) <= 1e-20 * (1 + abs(z)))

@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tenseg import (SegmentState, SpringParams, cable_lengths, energy,
-                    segment_points, singular_angles, stack_forward,
-                    tapered_stack, total_energy)
+from tenseg import (SegmentGeometry, SegmentState, SpringParams,
+                    cable_lengths, energy, segment_points, singular_angles,
+                    stack_forward, tapered_stack, total_energy)
 from tenseg.cli import main, read_table
 from tenseg.singularity import SingularitySet
 
@@ -125,6 +126,39 @@ def test_singularities_table_and_summary(tmp_path, capsys):
     assert [r[1] for r in table["rows"][4:]] == [quant(a) for a in found.loop2]
     assert all(row[2] < 1e-9 for row in table["rows"])
     assert table["meta"]["alpha_sing"] == quant(math.pi / 4)
+
+
+@pytest.mark.parametrize("dims", [
+    {"h1": 1.0, "h2": 1.0, "h3": 1.0, "l1": 1e308, "l2": 1e308},
+    dict.fromkeys(("h1", "h2", "h3", "l1", "l2"), 1e-300),
+], ids=["wide", "tiny"])
+def test_singularities_at_extreme_scales(tmp_path, dims):
+    # The angles are those of the design scaled by a power of two into
+    # [0.5, 1); the quartic of the design itself overflows or vanishes.
+    config = write_config(tmp_path, {"geometry": dims})
+    assert main(["singularities", "--config", config,
+                 "--output", str(tmp_path)]) == 0
+    exponent = math.frexp(max(dims.values()))[1]
+    unit = singular_angles(SegmentGeometry(
+        **{k: math.ldexp(v, -exponent) for k, v in dims.items()}))
+    table = read_table(tmp_path / "singularities.csv")
+    assert [row[1] for row in table["rows"]] == [
+        quant(a) for a in unit.loop1 + unit.loop2]
+    assert table["meta"]["alpha_sing"] == quant(unit.alpha_sing)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_singularities_match_goldens(tmp_path, name, fmt):
+    # Designs on the kernel's fallback (a tangency, triple roots) and the
+    # half turn; CI runs the same comparison on the installed CLI.
+    assert main(["singularities", "--config", str(GOLDEN / name / "config.json"),
+                 "--format", fmt, "--output", str(tmp_path)]) == 0
+    written = (tmp_path / f"singularities.{fmt}").read_bytes()
+    assert written == (GOLDEN / name / f"singularities.{fmt}").read_bytes()
 
 
 def test_singularities_degrees(tmp_path, capsys):
@@ -390,6 +424,30 @@ def test_config_errors_exit_2(tmp_path, capsys, command, config_data,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["pose", "ik"])
+@pytest.mark.parametrize("alphas, field", [
+    ([math.inf], "alphas[0]"),
+    ([0.0, -math.inf], "alphas[1]"),
+    ([0.0, 0.5, math.nan], "alphas[2]"),
+])
+def test_non_finite_angles_exit_2(tmp_path, capsys, command, alphas, field):
+    # json writes these as Infinity and NaN, which json.load accepts.
+    config = write_config(tmp_path, {**UNIT_CONFIG, "alphas": alphas})
+    assert main([command, "--config", config, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_energy_profile_overflowing_rest_length_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {"geometry": dict.fromkeys(
+        ("h1", "h2", "h3", "l1", "l2"), 1e308)})
+    assert main(["energy-profile", "--config", config,
+                 "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: geometry:") and "rest length" in err
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):

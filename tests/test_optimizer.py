@@ -11,7 +11,7 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
 from tenseg.optimizer import DesignRecord, _evaluate_chunk, capped_alpha_sing
-from tenseg.polyroots import Polynomial, cauchy_root_bound, real_roots
+from conftest import oracle_real_roots
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_chunk_evaluation_matches_reference():
                                           rel=1e-6, abs=1e-9)
 
 
-def test_quartic_kernel_agrees_with_sturm_fallback_on_grid_designs():
+def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
     bounds = DesignBounds(h1_res=5, h2_res=11, l1_res=9, lambda_res=5)
     h1, h2, _, l1, lam = (np.array(v) for v in zip(*enumerate_grid(bounds)))
     feasible = h2 > 0.0
@@ -203,12 +203,9 @@ def test_quartic_kernel_agrees_with_sturm_fallback_on_grid_designs():
     roots, _, _, certified = quartic_real_roots(coeffs)
     assert certified.sum() >= 0.9 * len(certified)
     for row, found in zip(coeffs[certified], roots[certified]):
-        p = Polynomial(tuple(row))
-        bound = cauchy_root_bound(p)
-        sturm = real_roots(p, -bound, bound)
-        assert sturm.multiplicities == (1,) * len(sturm.roots)
+        oracle = oracle_real_roots(row)
         assert 2.0 * np.arctan(found[found == found]) == pytest.approx(
-            2.0 * np.arctan(sturm.roots), abs=1e-12)
+            2.0 * np.arctan(oracle), abs=1e-12)
 
     # The sweep's capped score is the scalar API's, bit for bit off the flat
     # face (which the sweep takes in closed form).

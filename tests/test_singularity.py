@@ -254,7 +254,7 @@ def certified(g):
 def test_kernel_certificate_on_reference_designs():
     assert certified(UNIT)
     # A double root (Delta = 0 to rounding) and a triple root go to the
-    # Sturm fallback.
+    # fallback.
     assert not certified(TANGENT)
     assert not certified(FLAT_SQUARE)
     # The half turn's quartic is exactly a cubic with three simple roots,
@@ -265,14 +265,14 @@ def test_kernel_certificate_on_reference_designs():
 
 @pytest.mark.parametrize("g", [TANGENT, FLAT_SQUARE], ids=["tangent", "flat"])
 def test_uncertified_design_runs_the_fallback_once(monkeypatch, g):
-    real_roots = singularity_module.real_roots
+    fallback = singularity_module._fallback_roots
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return real_roots(*args)
+        return fallback(*args)
 
-    monkeypatch.setattr(singularity_module, "real_roots", counted)
+    monkeypatch.setattr(singularity_module, "_fallback_roots", counted)
     found = singular_angles(g)
     assert len(calls) == 1
     # The multiplicities come from that one call.
@@ -315,8 +315,8 @@ def test_kernel_rows_do_not_depend_on_the_batch():
 
 
 def test_default_grid_falls_back_only_on_its_triple_roots():
-    # Each fallback costs milliseconds of Sturm isolation; a rise in their
-    # number shows here before it shows in the sweep's time.
+    # Each fallback is a Python loop of about half a millisecond; a rise in
+    # their number shows here before it shows in the sweep's time.
     h1, h2, l1, lam, _ = default_grid_kernel_rows()
     _, mults, _, certified = quartic_real_roots(
         quartic_coefficients(h1, h2, h1, l1, lam * l1))
@@ -340,11 +340,7 @@ def test_certified_roots_match_oracle_across_magnitudes():
     all_roots, _, _, certified = quartic_real_roots(coeffs)
     assert certified.mean() >= 0.95
     for row, roots in zip(coeffs[certified], all_roots[certified]):
-        with mpmath.workdps(30):
-            exact = [mpmath.mpf(float(c)) for c in row[::-1]]
-            oracle = sorted(float(mpmath.re(z)) for z in mpmath.polyroots(
-                exact, maxsteps=500, extraprec=200)
-                if abs(mpmath.im(z)) <= 1e-20 * (1 + abs(z)))
+        oracle = conftest.oracle_real_roots(row)
         mine = roots[~np.isnan(roots)]
         assert len(mine) == len(oracle), (row, mine, oracle)
         assert np.all(np.abs(mine - oracle) <= 1e-13 * (1.0 + np.abs(oracle))), (
@@ -460,3 +456,46 @@ def near_degenerate_designs(draw):
 @settings(max_examples=60, deadline=None)
 def test_near_degenerate_designs_match_oracle(g):
     assert_matches_oracle(g)
+
+
+# ---------------------------------------------------------------------------
+# theorem and scale
+
+
+positive = st.floats(0.01, 100.0)
+
+
+@given(st.tuples(st.floats(0.0, 100.0), positive, st.floats(0.0, 100.0),
+                 positive, positive).filter(lambda d: d[0] + d[2] >= 0.01))
+@settings(max_examples=200, deadline=None)
+def test_every_non_flat_design_is_singular_inside_minus_quarter_turn(dims):
+    # The condition is B + C < 0 at alpha = 0 and -A - C > 0 at -pi/2
+    # whenever h1 + h3 > 0, so it crosses zero strictly in between.  (With
+    # h1 + h3 near 1e-16 of the other dimensions, the crossing rounds to
+    # -pi/2 itself, hence the floor on the drawn end links.)
+    found = singular_angles(SegmentGeometry(*dims))
+    assert any(-math.pi / 2 < a < 0.0 for a in found.loop1), found
+
+
+def scaled(g, k):
+    return SegmentGeometry(*(math.ldexp(v, k) for v in
+                             (g.h1, g.h2, g.h3, g.l1, g.l2)))
+
+
+def test_power_of_two_scaling_leaves_singular_angles_bitwise_unchanged():
+    rng = np.random.default_rng(89)
+    designs = [TANGENT, FLAT_SQUARE, HALF_TURN] + [
+        random_geometry(rng) for _ in range(30)]
+    for g in designs:
+        for k in (-900, -40, -1, 1, 33, 900):
+            assert singular_angles(scaled(g, k)) == singular_angles(g), (g, k)
+
+
+@pytest.mark.parametrize("g", [
+    SegmentGeometry(h1=1.0, h2=1.0, h3=1.0, l1=1e308, l2=1e308),
+    SegmentGeometry(*[1e-300] * 5),
+    SegmentGeometry(*[1e308] * 5),
+], ids=["wide", "tiny", "huge"])
+def test_extreme_scales_solve_the_unit_scaled_design(g):
+    exponent = math.frexp(max(g.h1, g.h2, g.h3, g.l1, g.l2))[1]
+    assert singular_angles(g) == singular_angles(scaled(g, -exponent))
