@@ -441,6 +441,12 @@ def cmd_energy_profile(config: dict, opts) -> int:
         # a fraction of the home cable length, can still be out of range.
         raise ConfigError("geometry", f"no finite spring rest length: "
                           f"{exc}") from exc
+    # Cables and rest length are shorter than the sum of the dimensions, so
+    # every energy and the home curvature stay below 32 (k1 + k2) size**2.
+    size = g.h1 + g.h2 + g.h3 + g.l1 + g.l2
+    if not math.isfinite(32.0 * (spec.k1 + spec.k2) * size * size):
+        raise ConfigError("geometry", "spring energies of this design "
+                          "overflow a float")
 
     alpha_sing = singular_angles(g).alpha_sing
     if explicit_range is None and alpha_sing is None:

@@ -9,30 +9,31 @@ with potential
 The rest length is chosen as a fraction of the cable length in the home
 configuration ``alpha = 0`` so the springs are pre-tensioned there.  The home
 configuration is a stable equilibrium when ``E`` has a strict local minimum at
-``alpha = 0``; the classifier estimates the curvature there numerically.  The
-total energy ``E_t`` integrates ``E`` over the usable range between the
-nearest singularities ``(-alpha_sing, alpha_sing)`` and serves as an overall
-stiffness score of a design.
+``alpha = 0``; the classifier takes the sign of the curvature ``E''(0)``,
+which has a closed form in the dimensions.  The total energy ``E_t``
+integrates ``E`` over the usable range between the nearest singularities
+``(-alpha_sing, alpha_sing)`` with a fixed Gauss-Legendre rule and serves as
+an overall stiffness score of a design.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SegmentGeometry, cable_lengths
+from .geometry import SegmentGeometry, _cable_lengths_raw, cable_lengths
 from .singularity import singular_angles
 
-# Interval halving of the composite Simpson rule stops at this relative change.
-_INT_REL = 1e-9
-_INT_MIN_PANELS = 16
-_INT_MAX_PANELS = 2**20
-# Stability: central-difference step for the curvature at home, and the
-# neutrality threshold relative to the energy scale.
-_FD_STEP = 1e-4
+# Gauss-Legendre nodes of the energy integral: within 1e-12 relative of
+# 30-digit quadrature, even where a cable nearly vanishes (test_energy.py).
+_GL_NODES = 128
+# Rows integrated at a time, so that the temporaries stay small and in cache.
+_GL_BLOCK = 128
+# Home curvatures within this fraction of max(1, E(0)) count as Neutral.
 _TAU_REL = 1e-7
 
 
@@ -50,6 +51,21 @@ class Stability(enum.Enum):
     NEUTRAL = "Neutral"
 
 
+# Verdict codes of _home_stability, by index.
+_STABILITY_CODES = (Stability.STABLE, Stability.UNSTABLE, Stability.NEUTRAL)
+
+
+def _check_springs(k1: float, k2: float, rest_fraction: float) -> None:
+    """Reject a stiffness that is not positive and finite, or a fraction
+    outside (0, 1)."""
+    for name, k in (("k1", k1), ("k2", k2)):
+        if not (k > 0.0 and math.isfinite(k)):
+            raise ValueError(f"{name} must be > 0, got {k!r}")
+    if not 0.0 < rest_fraction < 1.0:
+        raise InvalidFraction(
+            f"rest_fraction must lie in (0, 1), got {rest_fraction!r}")
+
+
 @dataclass(frozen=True)
 class SpringParams:
     """Spring constants and the derived rest length ``l0``."""
@@ -60,13 +76,7 @@ class SpringParams:
     l0: float
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and math.isfinite(self.k1)):
-            raise ValueError(f"k1 must be > 0, got {self.k1!r}")
-        if not (self.k2 > 0.0 and math.isfinite(self.k2)):
-            raise ValueError(f"k2 must be > 0, got {self.k2!r}")
-        if not 0.0 < self.rest_fraction < 1.0:
-            raise InvalidFraction(
-                f"rest fraction must lie in (0, 1), got {self.rest_fraction!r}")
+        _check_springs(self.k1, self.k2, self.rest_fraction)
         if not (self.l0 > 0.0 and math.isfinite(self.l0)):
             raise ValueError(f"l0 must be > 0, got {self.l0!r}")
 
@@ -109,11 +119,15 @@ def rest_length(g: SegmentGeometry, fraction: float) -> float:
     return fraction * float(rho1)
 
 
+def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
+    rho1, rho2 = _cable_lengths_raw(h1, h2, h3, l1, l2, alpha)
+    return 0.5 * (k1 * (rho1 - l0) ** 2 + k2 * (rho2 - l0) ** 2)
+
+
 def energy(g: SegmentGeometry, springs: SpringParams, alpha):
     """Elastic energy at ``alpha`` (scalar or ndarray)."""
-    rho1, rho2 = cable_lengths(g, alpha)
-    return 0.5 * (springs.k1 * (rho1 - springs.l0) ** 2
-                  + springs.k2 * (rho2 - springs.l0) ** 2)
+    return _energy_raw(g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0,
+                       springs.k1, springs.k2, alpha)
 
 
 def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
@@ -140,19 +154,74 @@ def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
                          alpha_range=(lo, hi))
 
 
-def _simpson(g, springs, lo: float, hi: float, panels: int) -> float:
-    x = np.linspace(lo, hi, panels + 1)
-    y = energy(g, springs, x)
-    h = (hi - lo) / panels
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+@functools.cache
+def _energy_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre in ``u`` for ``alpha / alpha_sing = sin(pi u / 2)``.
+
+    Returns nodes and weights.  The substitution packs nodes towards the range
+    ends, where a cable of a design with ``lam`` near 1 nearly vanishes.  Built
+    on first use: ``leggauss`` and its import cost about 5% of start-up."""
+    from numpy.polynomial.legendre import leggauss
+
+    u, w = leggauss(_GL_NODES)
+    angle = 0.5 * math.pi * u
+    return np.sin(angle), w * (0.5 * math.pi) * np.cos(angle)
+
+
+def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
+    """``E_t`` per row over ``[-alpha_sing, alpha_sing]``; 1-D arrays in.
+
+    Rows are reduced one by one, not by a matrix product, so a row's value
+    does not depend on the other rows of the call or on the blocking."""
+    nodes, weights = _energy_rule()
+    columns = [np.asarray(v)[:, None]
+               for v in (h1, h2, h3, l1, l2, l0, alpha_sing)]
+    total = np.empty(len(columns[0]))
+    for start in range(0, len(total), _GL_BLOCK):
+        *dims, alpha = (c[start:start + _GL_BLOCK] for c in columns)
+        values = _energy_raw(*dims, k1, k2, alpha * nodes)
+        total[start:start + _GL_BLOCK] = (
+            alpha[:, 0] * (values * weights).sum(axis=1))
+    return total
+
+
+def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
+    """Per row: ``E(0)``, the curvature ``E''(0)`` and a verdict code.
+
+    With ``S = rho1**2``, ``x = l1 - l2`` and ``y = h1 + h2 + h3``, at 0
+        S'/2  = -(x (h2 + 2 h3) + 2 l2 y),
+        S''/2 = (h2 + 2 h3)^2 + 4 l2^2 + 4 l2 x - y (h2 + 4 h3),
+    and ``rho rho'' = S''/2 - rho'^2`` with ``rho' = S' / (2 rho)``.  By mirror
+    symmetry ``E''(0) = (k1 + k2) (rho'^2 + (rho - l0) rho'')``, taken as
+    ``(k1 + k2) (rho'^2 + (1 - l0 / rho) (S''/2 - rho'^2))`` so that no term
+    exceeds a small multiple of the squared dimensions.
+    """
+    x = l1 - l2
+    y = h1 + h2 + h3
+    rho = np.hypot(x, y)
+    slope = -(x * (h2 + 2.0 * h3) + 2.0 * l2 * y) / rho
+    bend = ((h2 + 2.0 * h3) ** 2 + 4.0 * l2 * l2 + 4.0 * l2 * x
+            - y * (h2 + 4.0 * h3))
+    curvature = (k1 + k2) * (slope * slope
+                             + (1.0 - l0 / rho) * (bend - slope * slope))
+    e0 = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, 0.0)
+    tau = _TAU_REL * np.maximum(1.0, e0)
+    codes = np.where(curvature > tau, 0, np.where(curvature < -tau, 1, 2))
+    return e0, curvature, codes
+
+
+def _one_row(g: SegmentGeometry, springs: SpringParams):
+    """Kernel arguments of one design, with ``l0`` among the 1-row arrays."""
+    rows = (g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0)
+    return (*(np.array([v]) for v in rows), springs.k1, springs.k2)
 
 
 def total_energy(g: SegmentGeometry, springs: SpringParams,
                  alpha_sing: float | None = None) -> float:
     """Energy integral over ``[-alpha_sing, alpha_sing]``.
 
-    Composite Simpson quadrature with interval doubling until the value is
-    stable to 1e-9 relative.  ``alpha_sing`` may be passed when already known
+    A fixed 128-node Gauss-Legendre rule, the design sweep's kernel, good to
+    about 1e-12 relative.  ``alpha_sing`` may be passed when already known
     (it is recomputed from the geometry otherwise) and must be finite and
     >= 0; raises :class:`NoSingularity` for designs with no singularity.
     """
@@ -163,44 +232,19 @@ def total_energy(g: SegmentGeometry, springs: SpringParams,
     if not (alpha_sing >= 0.0 and math.isfinite(alpha_sing)):
         raise ValueError(
             f"alpha_sing must be finite and >= 0, got {alpha_sing!r}")
-    if alpha_sing == 0.0:
-        return 0.0
-    lo, hi = -float(alpha_sing), float(alpha_sing)
-    panels = _INT_MIN_PANELS
-    estimate = _simpson(g, springs, lo, hi, panels)
-    while panels < _INT_MAX_PANELS:
-        panels *= 2
-        refined = _simpson(g, springs, lo, hi, panels)
-        if abs(refined - estimate) <= _INT_REL * max(abs(refined), 1e-300):
-            return refined
-        estimate = refined
-    return estimate
+    return float(_energy_integral(*_one_row(g, springs),
+                                  np.array([float(alpha_sing)]))[0])
 
 
 def classify_home_stability(g: SegmentGeometry,
                             springs: SpringParams) -> StabilityClass:
     """Classify ``alpha = 0`` by the sign of the energy curvature there.
 
-    The curvature is a Richardson-extrapolated central second difference
-    (steps ``h`` and ``h/2`` with ``h = 1e-4``).  Verdicts within
-    ``tau = 1e-7 * max(1, E(0))`` of zero are Neutral rather than trusting
-    the sign of numerical noise.
+    The curvature ``E''(0)`` is a closed form in the dimensions, the design
+    sweep's kernel.  Verdicts within ``tau = 1e-7 * max(1, E(0))`` of zero
+    are Neutral.
     """
-    e0 = float(energy(g, springs, 0.0))
-
-    def second_difference(h: float) -> float:
-        ep = float(energy(g, springs, h))
-        em = float(energy(g, springs, -h))
-        return (ep - 2.0 * e0 + em) / (h * h)
-
-    coarse = second_difference(_FD_STEP)
-    fine = second_difference(0.5 * _FD_STEP)
-    curvature = (4.0 * fine - coarse) / 3.0
-    tau = _TAU_REL * max(1.0, e0)
-    if curvature > tau:
-        verdict = Stability.STABLE
-    elif curvature < -tau:
-        verdict = Stability.UNSTABLE
-    else:
-        verdict = Stability.NEUTRAL
-    return StabilityClass(stability=verdict, curvature=curvature, threshold=tau)
+    e0, curvature, codes = _home_stability(*_one_row(g, springs))
+    return StabilityClass(stability=_STABILITY_CODES[int(codes[0])],
+                          curvature=float(curvature[0]),
+                          threshold=_TAU_REL * max(1.0, float(e0[0])))

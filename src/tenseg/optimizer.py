@@ -18,10 +18,13 @@ spring energy ``E_t`` and then lexicographically smaller design vector —
 fully deterministic, and independent of how the sweep is chunked or
 parallelised.
 
-The sweep evaluates designs in fixed-size chunks with array arithmetic
-(checked against the scalar API design by design in the test suite) and
+The sweep evaluates designs in fixed-size chunks with array arithmetic and
 optionally fans chunks out to worker processes.  Chunk boundaries and the
-merge do not depend on the worker count, so neither do the reports.
+merge do not depend on the worker count, so neither do the reports.  The
+singular angles, the energy integral and the home curvature come from the
+same batched kernels as the scalar API (:mod:`tenseg.singularity`,
+:mod:`tenseg.energy`), so a chunk's energies and curvatures equal the scalar
+calls' bit for bit.
 
 Energy only breaks ties, so each chunk integrates it just for its tie set,
 the rows at their taper's best score within the chunk; the score leads every
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (_FD_STEP, _INT_MAX_PANELS, _INT_MIN_PANELS, _INT_REL,
-                     _TAU_REL, Stability)
+from .energy import (_STABILITY_CODES, Stability, _check_springs,
+                     _energy_integral, _energy_raw, _home_stability)
 from .geometry import _cable_lengths_raw
 from .singularity import quartic_coefficients, quartic_real_roots
 
@@ -53,8 +56,6 @@ L1_RANGE = (0.0, 4.5)
 H1_RANGE = (0.0, 1.0)
 H2_RANGE = (0.0, 2.0)
 LAMBDA_RANGE = (0.05, 1.0)
-
-_STABILITY_CODES = (Stability.STABLE, Stability.UNSTABLE, Stability.NEUTRAL)
 
 
 class EmptyGrid(ValueError):
@@ -74,13 +75,7 @@ class SpringSpec:
     rest_fraction: float = 0.4
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and math.isfinite(self.k1)):
-            raise ValueError(f"k1 must be > 0, got {self.k1!r}")
-        if not (self.k2 > 0.0 and math.isfinite(self.k2)):
-            raise ValueError(f"k2 must be > 0, got {self.k2!r}")
-        if not 0.0 < self.rest_fraction < 1.0:
-            raise ValueError(
-                f"rest_fraction must lie in (0, 1), got {self.rest_fraction!r}")
+        _check_springs(self.k1, self.k2, self.rest_fraction)
 
 
 @dataclass(frozen=True)
@@ -199,58 +194,6 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
     return nearest
 
 
-def _energy_block(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
-    rho1, rho2 = _cable_lengths_raw(h1, h2, h3, l1, l2, alpha)
-    return 0.5 * (k1 * (rho1 - l0) ** 2 + k2 * (rho2 - l0) ** 2)
-
-
-def _total_energy_block(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
-    """Batched twin of :func:`tenseg.energy.total_energy` (same Simpson policy)."""
-    n = len(h1)
-
-    def simpson(rows, panels):
-        u = np.linspace(-1.0, 1.0, panels + 1)
-        alphas = alpha_sing[rows, None] * u[None, :]
-        y = _energy_block(h1[rows, None], h2[rows, None], h3[rows, None],
-                          l1[rows, None], l2[rows, None], l0[rows, None],
-                          k1, k2, alphas)
-        h = 2.0 * alpha_sing[rows] / panels
-        return h / 3.0 * (y[:, 0] + y[:, -1]
-                          + 4.0 * y[:, 1:-1:2].sum(axis=1)
-                          + 2.0 * y[:, 2:-1:2].sum(axis=1))
-
-    estimates = simpson(np.arange(n), _INT_MIN_PANELS)
-    panels = _INT_MIN_PANELS
-    alive = np.ones(n, dtype=bool)
-    while panels < _INT_MAX_PANELS and alive.any():
-        panels *= 2
-        rows = np.flatnonzero(alive)
-        refined = simpson(rows, panels)
-        converged = np.abs(refined - estimates[rows]) <= _INT_REL * np.maximum(
-            np.abs(refined), 1e-300)
-        estimates[rows] = refined
-        alive[rows[converged]] = False
-    return estimates
-
-
-def _stability_block(h1, h2, h3, l1, l2, l0, k1, k2):
-    """Batched twin of :func:`tenseg.energy.classify_home_stability`."""
-    steps = np.array([0.0, _FD_STEP, -_FD_STEP, 0.5 * _FD_STEP, -0.5 * _FD_STEP])
-    values = _energy_block(h1[:, None], h2[:, None], h3[:, None],
-                           l1[:, None], l2[:, None], l0[:, None],
-                           k1, k2, steps[None, :])
-    e0 = values[:, 0]
-    coarse = (values[:, 1] - 2.0 * e0 + values[:, 2]) / (_FD_STEP * _FD_STEP)
-    half = 0.5 * _FD_STEP
-    fine = (values[:, 3] - 2.0 * e0 + values[:, 4]) / (half * half)
-    curvature = (4.0 * fine - coarse) / 3.0
-    tau = _TAU_REL * np.maximum(1.0, e0)
-    codes = np.full(len(e0), 2, dtype=np.int8)
-    codes[curvature > tau] = 0
-    codes[curvature < -tau] = 1
-    return e0, curvature, codes
-
-
 def _evaluate_chunk(args):
     """Evaluate one flat-index chunk of the grid; return per-taper candidates.
 
@@ -293,9 +236,9 @@ def _evaluate_chunk(args):
     h3 = h1
     rho_home, _ = _cable_lengths_raw(h1, h2, h3, l1, l2, 0.0)
     l0 = rest_fraction * rho_home
-    e_total = _total_energy_block(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
-    e0, curvature, codes = _stability_block(h1, h2, h3, l1, l2, l0, k1, k2)
-    e_sing = _energy_block(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
+    e_total = _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
+    e0, curvature, codes = _home_stability(h1, h2, h3, l1, l2, l0, k1, k2)
+    e_sing = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
 
     order = np.lexsort((l1, h2, h1, e_total, -alpha_sing, ilam))
     _, first = np.unique(ilam[order], return_index=True)

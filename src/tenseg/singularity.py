@@ -198,20 +198,24 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
     t = np.where(im > _REALISH_REL * (1.0 + np.abs(t)), np.nan, t)
     # Two Newton steps by Horner from the leading coefficient down; its first
     # step (slope 0, value lead) is folded in, exact wherever t is finite.
+    # A step from a seed far off a tiny root can leave the float range: the
+    # row then keeps no root there and goes to the fallback.
     lead, first, *rest = sub[::-1]
-    for _ in range(2):
-        slope, value = lead, lead * t + first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            slope, value = lead, lead * t + first
+            for c in rest:
+                slope = slope * t + value
+                value = value * t + c
+            step = value / np.where(slope == 0.0, np.inf, slope)
+            t = t - step
+        value = lead * t + first
         for c in rest:
-            slope = slope * t + value
             value = value * t + c
-        step = value / np.where(slope == 0.0, np.inf, slope)
-        t = t - step
-    value = lead * t + first
-    for c in rest:
-        value = value * t + c
-    growth = 1.0 + np.abs(t)
-    kept = ((np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
-            & (np.abs(step) <= _STEP_REL * growth))
+        growth = 1.0 + np.abs(t)
+        kept = (np.isfinite(value)
+                & (np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
+                & (np.abs(step) <= _STEP_REL * growth))
     return np.where(kept, t, np.nan)
 
 

@@ -161,6 +161,17 @@ def test_singularities_match_goldens(tmp_path, name, fmt):
     assert written == (GOLDEN / name / f"singularities.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_energy_profile_matches_goldens(tmp_path, name, fmt):
+    # Every total_energy digit of these files equals 30-digit quadrature's.
+    assert main(["energy-profile", "--config",
+                 str(GOLDEN / name / "config.json"),
+                 "--format", fmt, "--output", str(tmp_path)]) == 0
+    written = (tmp_path / f"energy_profile.{fmt}").read_bytes()
+    assert written == (GOLDEN / name / f"energy_profile.{fmt}").read_bytes()
+
+
 def test_singularities_degrees(tmp_path, capsys):
     config = write_config(tmp_path, UNIT_CONFIG)
     main(["singularities", "--config", config, "--output", str(tmp_path),
@@ -448,6 +459,20 @@ def test_energy_profile_overflowing_rest_length_exits_2(tmp_path, capsys):
                  "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: geometry:") and "rest length" in err
+
+
+@pytest.mark.parametrize("dims", [
+    {"h1": 1.0, "h2": 1.0, "h3": 1.0, "l1": 1e308, "l2": 1e308},
+    dict.fromkeys(("h1", "h2", "h3", "l1", "l2"), 1e200),
+], ids=["wide", "huge"])
+def test_energy_profile_overflowing_energy_exits_2(tmp_path, capsys, dims):
+    # The rest length is finite, but the stretched springs' energies are not.
+    config = write_config(tmp_path, {"geometry": dims})
+    assert main(["energy-profile", "--config", config,
+                 "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: geometry:") and "overflow" in err
+    assert not (tmp_path / "energy_profile.csv").exists()
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):

@@ -3,16 +3,18 @@
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STABLE_FLAT, UNIT, UNSTABLE_TALL, random_geometry
-from tenseg import (InvalidFraction, NoSingularity, SegmentGeometry,
-                    SingularitySet, SpringParams, Stability, cable_lengths,
-                    classify_home_stability, energy, energy_profile,
-                    rest_length, singular_angles, total_energy)
+from tenseg import (DesignBounds, InvalidFraction, NoSingularity,
+                    SegmentGeometry, SingularitySet, SpringParams, Stability,
+                    cable_lengths, classify_home_stability, energy,
+                    energy_profile, rest_length, singular_angles, total_energy)
+from tenseg.optimizer import capped_alpha_sing
 
 # Platform half-width tuned (to machine precision) so the home-pose energy
 # curvature of (h1=1, h2=1, h3=1, l1=1, l2=*) vanishes: the neutral boundary
@@ -22,6 +24,46 @@ NEUTRAL_L2 = 0.8993930742068083
 
 def unit_springs(**kwargs):
     return SpringParams.for_geometry(UNIT, **kwargs)
+
+
+def mp_cable1(g):
+    """Cable 1's length as an mpmath function of the angle, from the point
+    construction with the float dimensions taken exactly."""
+    h1, h2, h3, l1, l2 = (mpmath.mpf(v) for v in (g.h1, g.h2, g.h3, g.l1, g.l2))
+
+    def rho(t):
+        x = l1 - l2 * mpmath.cos(2 * t) - h2 * mpmath.sin(t) - h3 * mpmath.sin(2 * t)
+        y = h1 + h2 * mpmath.cos(t) + h3 * mpmath.cos(2 * t) - l2 * mpmath.sin(2 * t)
+        return mpmath.sqrt(x * x + y * y)
+    return rho
+
+
+def mp_total_energy(g, springs, alpha_sing):
+    """Energy integral by mpmath quadrature at 30 digits.
+
+    Cable 2 mirrors cable 1, so over a symmetric range the integral is
+    ``(k1 + k2) / 2`` times that of ``(rho1 - l0)**2``.
+    """
+    with mpmath.workdps(30):
+        rho, l0 = mp_cable1(g), mpmath.mpf(springs.l0)
+        a = mpmath.mpf(alpha_sing)
+        integral = mpmath.quad(lambda t: (rho(t) - l0) ** 2, [-a, a])
+        return float((mpmath.mpf(springs.k1) + springs.k2) / 2 * integral)
+
+
+def mp_home_curvature(g, springs):
+    """``E''(0)`` by mpmath numerical differentiation at 30 digits."""
+    with mpmath.workdps(30):
+        rho, l0 = mp_cable1(g), mpmath.mpf(springs.l0)
+        k1, k2 = mpmath.mpf(springs.k1), mpmath.mpf(springs.k2)
+        return float(mpmath.diff(
+            lambda t: (k1 * (rho(t) - l0) ** 2 + k2 * (rho(-t) - l0) ** 2) / 2,
+            0, 2))
+
+
+def design(h1, h2, l1, lam):
+    """A sweep-style design: ``h3 = h1`` and ``l2 = lam * l1``."""
+    return SegmentGeometry(h1=h1, h2=h2, h3=h1, l1=l1, l2=lam * l1)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +96,12 @@ def test_spring_params_for_geometry():
 def test_spring_params_validation(kwargs):
     with pytest.raises(ValueError):
         unit_springs(**kwargs)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+def test_spring_params_rejects_fraction_as_invalid_fraction(fraction):
+    with pytest.raises(InvalidFraction, match="rest_fraction"):
+        SpringParams(k1=1.0, k2=1.0, rest_fraction=fraction, l0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +222,53 @@ def test_total_energy_unit_value_pinned():
         5.2146463102, abs=1e-9)
 
 
+def test_total_energy_matches_mpmath_on_grid_designs():
+    # Every feasible design of a coarse sweep grid, over its capped range.
+    bounds = DesignBounds(h1_res=3, h2_res=3, l1_res=3, lambda_res=2)
+    for lam in bounds.lambda_axis():
+        for h1 in bounds.h1_axis():
+            for h2 in bounds.h2_axis()[1:]:
+                for l1 in bounds.l1_axis():
+                    g = design(h1, h2, l1, lam)
+                    springs = SpringParams.for_geometry(g)
+                    alpha = capped_alpha_sing(singular_angles(g).alpha_sing)
+                    assert total_energy(g, springs, alpha_sing=alpha) == (
+                        pytest.approx(mp_total_energy(g, springs, alpha),
+                                      rel=1e-12))
+
+
+def test_total_energy_matches_mpmath_as_a_cable_nearly_vanishes():
+    # With lam near 1 one cable shrinks towards zero length at the ends of
+    # the range (on some of these designs below 1e-6 of its home length),
+    # where the integrand bends sharply.
+    rng = np.random.default_rng(113)
+    shortest = math.inf
+    for _ in range(10):
+        g = design(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 2.0)),
+                   float(rng.uniform(0.05, 4.45)),
+                   1.0 - 10.0 ** float(rng.uniform(-8.0, -1.0)))
+        springs = SpringParams.for_geometry(g)
+        alpha = singular_angles(g).alpha_sing
+        rho1, rho2 = cable_lengths(g, np.array([-alpha, 0.0, alpha]))
+        shortest = min(shortest, min(rho1.min(), rho2.min()) / rho1[1])
+        assert total_energy(g, springs, alpha_sing=alpha) == pytest.approx(
+            mp_total_energy(g, springs, alpha), rel=1e-12)
+    assert shortest < 1e-6
+
+
+def test_total_energy_of_the_early_stopping_simpson_design():
+    # A doubling Simpson rule stopped at 32 panels on this design, 1.3e-7
+    # off the integral.
+    g = design(0.21339559835380428, 0.8643926867768976, 0.9483146106245814,
+               0.47139885196906156)
+    springs = SpringParams.for_geometry(g)
+    alpha = singular_angles(g).alpha_sing
+    value = total_energy(g, springs, alpha_sing=alpha)
+    assert value == pytest.approx(mp_total_energy(g, springs, alpha),
+                                  rel=1e-12)
+    assert value == pytest.approx(2.14959542207286, rel=1e-12)
+
+
 def test_total_energy_nonnegative():
     rng = np.random.default_rng(101)
     for _ in range(10):
@@ -187,6 +282,24 @@ def test_total_energy_linear_in_stiffness():
     assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
 
+def test_total_energy_one_row_equals_the_batched_kernel():
+    # The scalar call is one row of the kernel the sweep runs on whole
+    # chunks; a row's value must not depend on the rows around it.
+    from tenseg.energy import _energy_integral
+
+    rng = np.random.default_rng(107)
+    designs = [random_geometry(rng) for _ in range(300)]
+    springs = [SpringParams.for_geometry(g) for g in designs]
+    alphas = [singular_angles(g).alpha_sing or 1.0 for g in designs]
+    rows = [np.array([getattr(g, f) for g in designs])
+            for f in ("h1", "h2", "h3", "l1", "l2")]
+    batched = _energy_integral(*rows, np.array([p.l0 for p in springs]),
+                               1.0, 1.0, np.array(alphas))
+    assert batched.tolist() == [
+        total_energy(g, p, alpha_sing=a)
+        for g, p, a in zip(designs, springs, alphas)]
+
+
 def test_total_energy_accepts_precomputed_range():
     springs = unit_springs()
     assert total_energy(UNIT, springs, alpha_sing=math.pi / 4) == pytest.approx(
@@ -196,8 +309,8 @@ def test_total_energy_accepts_precomputed_range():
 
 @pytest.mark.parametrize("alpha_sing", [-0.5, math.nan, math.inf])
 def test_total_energy_rejects_invalid_alpha_sing(alpha_sing):
-    # A non-finite range used to run the Simpson rule to its panel limit and
-    # return NaN.
+    # A non-finite range would put non-finite quadrature nodes into the
+    # kernel and return NaN.
     with pytest.raises(ValueError, match="alpha_sing"):
         total_energy(UNIT, unit_springs(), alpha_sing=alpha_sing)
 
@@ -221,7 +334,7 @@ def test_flat_design_is_stable_with_known_curvature():
     assert energy(STABLE_FLAT, springs, 0.0) == pytest.approx(0.36, abs=1e-12)
     verdict = classify_home_stability(STABLE_FLAT, springs)
     assert verdict.stability is Stability.STABLE
-    assert verdict.curvature == pytest.approx(8.0, abs=1e-5)
+    assert verdict.curvature == pytest.approx(8.0, abs=1e-12)
 
 
 def test_narrow_platform_design_is_unstable():
@@ -234,7 +347,20 @@ def test_narrow_platform_design_is_unstable():
 def test_unit_geometry_is_stable():
     verdict = classify_home_stability(UNIT, unit_springs())
     assert verdict.stability is Stability.STABLE
-    assert verdict.curvature == pytest.approx(0.8, abs=1e-5)
+    assert verdict.curvature == pytest.approx(0.8, abs=1e-12)
+
+
+def test_home_curvature_matches_mpmath():
+    rng = np.random.default_rng(109)
+    for _ in range(40):
+        g = random_geometry(rng)
+        springs = SpringParams.for_geometry(
+            g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
+            rest_fraction=float(rng.uniform(0.05, 0.95)))
+        rho0 = float(cable_lengths(g, 0.0)[0])
+        scale = (springs.k1 + springs.k2) * rho0 * rho0
+        assert classify_home_stability(g, springs).curvature == pytest.approx(
+            mp_home_curvature(g, springs), rel=1e-12, abs=1e-14 * scale)
 
 
 def test_neutral_design_on_the_stability_boundary():
@@ -259,7 +385,7 @@ def test_classification_invariant_under_stiffness_scaling():
             g, SpringParams.for_geometry(g, k1=10.0, k2=10.0))
         assert scaled.stability is base.stability
         assert scaled.curvature == pytest.approx(10.0 * base.curvature,
-                                                 rel=1e-6, abs=1e-9)
+                                                 rel=1e-12)
 
 
 def test_energy_scales_with_square_of_uniform_scaling():
@@ -284,9 +410,8 @@ def test_energy_scales_with_square_of_uniform_scaling():
         base = classify_home_stability(g, springs)
         big = classify_home_stability(scaled, scaled_springs)
         assert big.stability is base.stability
-        # The curvature is a second difference at step 1e-4, good to ~1e-6.
         assert big.curvature == pytest.approx(100.0 * base.curvature,
-                                              rel=1e-5)
+                                              rel=1e-12)
 
 
 @given(st.floats(0.05, 0.95))

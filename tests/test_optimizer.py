@@ -147,10 +147,15 @@ def test_evaluate_infeasible_middle_link():
 
 
 def test_spring_spec_validation():
-    with pytest.raises(ValueError):
-        SpringSpec(k1=0.0)
-    with pytest.raises(ValueError):
-        SpringSpec(rest_fraction=1.0)
+    # The CLI prints these messages after "config error: springs: ".
+    for kwargs, message in [
+            (dict(k1=0.0), "k1 must be > 0, got 0.0"),
+            (dict(k2=math.inf), "k2 must be > 0, got inf"),
+            (dict(rest_fraction=1.0),
+             "rest_fraction must lie in (0, 1), got 1.0")]:
+        with pytest.raises(ValueError) as caught:
+            SpringSpec(**kwargs)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +189,14 @@ def test_chunk_evaluation_matches_reference():
         assert h1 == reference.x[0] and h2 == reference.x[1]
         assert l1 == reference.x[3] and lam_out == lam
         assert l2 == pytest.approx(reference.l2, rel=1e-15)
-        assert e_total == pytest.approx(reference.total_energy, rel=1e-8)
+        # The sweep and the scalar API share the energy kernels, and a row
+        # does not depend on the other rows of a call.
+        assert e_total == reference.total_energy
+        assert curvature == reference.curvature
         assert e0 == pytest.approx(reference.energy_at_zero, rel=1e-12)
         assert e_sing == pytest.approx(reference.energy_at_sing, rel=1e-8)
         assert (Stability.STABLE, Stability.UNSTABLE,
                 Stability.NEUTRAL)[code] is reference.stability
-        assert curvature == pytest.approx(reference.curvature,
-                                          rel=1e-6, abs=1e-9)
 
 
 def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
@@ -326,16 +332,16 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = small_report.bounds
     integrated = []
-    block = optimizer_module._total_energy_block
+    kernel = optimizer_module._energy_integral
 
-    def counting_block(h1, h2, h3, l1, l2, *rest):
+    def counting_kernel(h1, h2, h3, l1, l2, *rest):
         integrated.extend(zip(h1.tolist(), h2.tolist(), l1.tolist(),
                               l2.tolist()))
-        return block(h1, h2, h3, l1, l2, *rest)
+        return kernel(h1, h2, h3, l1, l2, *rest)
 
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
-    monkeypatch.setattr(optimizer_module, "_total_energy_block",
-                        counting_block)
+    monkeypatch.setattr(optimizer_module, "_energy_integral",
+                        counting_kernel)
     report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
     assert report == small_report
 
