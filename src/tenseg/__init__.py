@@ -12,9 +12,8 @@ from .energy import (EnergyProfile, InvalidFraction, NoSingularity,
                      rest_length, total_energy)
 from .geometry import (Frame2D, InvalidGeometry, InvalidRatio, SegmentGeometry,
                        SegmentPose, SegmentState, StackConfig, cable_lengths,
-                       cable_lengths_squared, normalize_angle, segment_points,
-                       singularity_condition, stack_forward, tapered_stack,
-                       validate_geometry)
+                       normalize_angle, segment_points, singularity_condition,
+                       stack_forward, tapered_stack, validate_geometry)
 from .optimizer import (DesignBounds, DesignRecord, EmptyGrid,
                         OptimizationReport, SpringSpec, optimize)
 from .singularity import DegenerateInput, SingularitySet, singular_angles
@@ -27,9 +26,8 @@ __all__ = [
     "energy_profile", "rest_length", "total_energy",
     "Frame2D", "InvalidGeometry", "InvalidRatio", "SegmentGeometry",
     "SegmentPose", "SegmentState", "StackConfig", "cable_lengths",
-    "cable_lengths_squared", "normalize_angle", "segment_points",
-    "singularity_condition", "stack_forward", "tapered_stack",
-    "validate_geometry",
+    "normalize_angle", "segment_points", "singularity_condition",
+    "stack_forward", "tapered_stack", "validate_geometry",
     "DesignBounds", "DesignRecord", "EmptyGrid", "OptimizationReport",
     "SpringSpec", "optimize",
     "DegenerateInput", "SingularitySet", "singular_angles",

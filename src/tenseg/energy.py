@@ -204,7 +204,7 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
             - y * (h2 + 4.0 * h3))
     curvature = (k1 + k2) * (slope * slope
                              + (1.0 - l0 / rho) * (bend - slope * slope))
-    e0 = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, 0.0)
+    e0 = 0.5 * (k1 * (rho - l0) ** 2 + k2 * (rho - l0) ** 2)
     tau = _TAU_REL * np.maximum(1.0, e0)
     codes = np.where(curvature > tau, 0, np.where(curvature < -tau, 1, 2))
     return e0, curvature, codes

@@ -207,22 +207,6 @@ def cable_lengths(g: SegmentGeometry, alpha):
     return _cable_lengths_raw(g.h1, g.h2, g.h3, g.l1, g.l2, alpha)
 
 
-def cable_lengths_squared(g: SegmentGeometry, alpha):
-    """Squared cable lengths from the expanded loop-closure polynomials.
-
-    This is a second, structurally independent route: the corner offsets are
-    written out in powers of ``sin(alpha)`` and ``cos(alpha)`` instead of going
-    through the point construction.  Both routes agree to ~1e-12 relative and
-    the test suite cross-checks them.  Accepts scalar or ndarray ``alpha``.
-    """
-    s, c = np.sin(alpha), np.cos(alpha)
-    x1 = (-2.0 * g.h3 * c - g.h2) * s - 2.0 * g.l2 * c * c + g.l2 + g.l1
-    y1 = 2.0 * g.h3 * c * c + (-2.0 * g.l2 * s + g.h2) * c + g.h1 - g.h3
-    x2 = (-2.0 * g.h3 * c - g.h2) * s + 2.0 * g.l2 * c * c - g.l2 - g.l1
-    y2 = 2.0 * g.h3 * c * c + (2.0 * g.l2 * s + g.h2) * c + g.h1 - g.h3
-    return x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-
-
 def singularity_condition(g: SegmentGeometry, alpha):
     """Derivative of the squared length of cable 1 with respect to ``alpha``.
 

@@ -163,13 +163,6 @@ class OptimizationReport:
     n_feasible: int
 
 
-def capped_alpha_sing(nearest: float | None) -> float:
-    """Score a nearest singular angle: cap at pi/2, snapping near-misses onto it."""
-    if nearest is None or nearest >= _PI_2 - _SNAP:
-        return _PI_2
-    return nearest
-
-
 def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
     """Nearest singular angle per design, arrays in, array out.
 

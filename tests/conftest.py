@@ -1,12 +1,16 @@
-"""Shared test helpers: reference geometries, seeded random sampling and
-the independent oracles the root finders are checked against."""
+"""Shared test helpers: reference geometries, seeded random sampling, the
+independent oracles the library is checked against and a reader for the
+CLI's tables."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from tenseg import SegmentGeometry, singularity_condition
+from tenseg.optimizer import _SNAP
 
 # The all-ones segment: every spine link and half-width equal to 1.  Its
 # loop-1 singular angles have closed forms (see test_singularity).
@@ -80,3 +84,70 @@ def oracle_real_roots(coeffs) -> list[float]:
         return sorted(float(mpmath.re(z)) for z in mpmath.polyroots(
             exact, maxsteps=500, extraprec=200)
             if abs(mpmath.im(z)) <= 1e-20 * (1 + abs(z)))
+
+
+def cable_lengths_squared(g: SegmentGeometry, alpha):
+    """Squared cable lengths from the expanded loop-closure polynomials.
+
+    A second, structurally independent route to ``cable_lengths``: the corner
+    offsets are written out in powers of ``sin(alpha)`` and ``cos(alpha)``
+    instead of going through the point construction.  Both routes agree to
+    ~1e-12 relative.  Accepts scalar or ndarray ``alpha``.
+    """
+    s, c = np.sin(alpha), np.cos(alpha)
+    x1 = (-2.0 * g.h3 * c - g.h2) * s - 2.0 * g.l2 * c * c + g.l2 + g.l1
+    y1 = 2.0 * g.h3 * c * c + (-2.0 * g.l2 * s + g.h2) * c + g.h1 - g.h3
+    x2 = (-2.0 * g.h3 * c - g.h2) * s + 2.0 * g.l2 * c * c - g.l2 - g.l1
+    y2 = 2.0 * g.h3 * c * c + (2.0 * g.l2 * s + g.h2) * c + g.h1 - g.h3
+    return x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+
+
+def capped_alpha_sing(nearest):
+    """The sweep's score of one design's nearest singular angle: capped at
+    pi/2, with near-misses within ``_SNAP`` snapped onto the cap."""
+    if nearest is None or nearest >= 0.5 * math.pi - _SNAP:
+        return 0.5 * math.pi
+    return nearest
+
+
+def _parse_cell(text: str):
+    if text == "NONE":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_table(path):
+    """Parse a table the CLI wrote back into meta, columns and rows.
+
+    Returns ``{"meta": ..., "columns": ..., "rows": ...}``; numeric cells come
+    back as numbers (``None`` for NONE), everything else as strings.  The CSV
+    and JSON renderings of one table parse to equal structures, so outputs
+    round-trip losslessly at the emitted precision.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        document = json.loads(path.read_text(encoding="utf-8"))
+        rows = document.pop("rows")
+        columns = list(rows[0]) if rows else []
+        return {"meta": document, "columns": columns,
+                "rows": [[row[c] for c in columns] for row in rows]}
+    meta: dict = {}
+    columns: list[str] = []
+    rows: list[list] = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(",")
+            meta[key] = _parse_cell(value)
+        elif not columns:
+            columns = line.split(",")
+        else:
+            cells = line.split(",")
+            if len(cells) == 2 and not isinstance(_parse_cell(cells[0]), float):
+                # Trailing key,value footer line (data rows start numeric).
+                meta[cells[0]] = _parse_cell(cells[1])
+            else:
+                rows.append([_parse_cell(cell) for cell in cells])
+    return {"meta": meta, "columns": columns, "rows": rows}

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from tenseg import (DesignBounds, SegmentGeometry, SpringParams, SpringSpec,
-                    cable_lengths, cable_lengths_squared,
-                    classify_home_stability, energy, energy_profile, optimize,
+                    cable_lengths, classify_home_stability, energy, energy_profile, optimize,
                     singular_angles, singularity_condition, total_energy)
 from tenseg.cli import main
 from tenseg.energy import Stability
-from tenseg.optimizer import (H1_RANGE, H2_RANGE, L1_RANGE, LAMBDA_RANGE,
-                              capped_alpha_sing)
+from tenseg.optimizer import H1_RANGE, H2_RANGE, L1_RANGE, LAMBDA_RANGE
 
-from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, random_angle,
-                      random_geometry, scan_singularities)
+from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, cable_lengths_squared,
+                      capped_alpha_sing, random_angle, random_geometry,
+                      scan_singularities)
 
 
 @pytest.fixture(scope="module")

@@ -5,17 +5,20 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenseg import (SegmentGeometry, SegmentState, SpringParams,
                     cable_lengths, energy, segment_points, singular_angles,
                     stack_forward, tapered_stack, total_energy)
-from tenseg.cli import main, read_table
+from tenseg.cli import main
 from tenseg.singularity import SingularitySet
 
-from conftest import STABLE_FLAT, UNIT, UNSTABLE_TALL
+from conftest import STABLE_FLAT, UNIT, UNSTABLE_TALL, read_table
 
 UNIT_CONFIG = {"geometry": {"h1": 1, "h2": 1, "h3": 1, "l1": 1, "l2": 1}}
 
@@ -148,10 +151,12 @@ def test_singularities_at_extreme_scales(tmp_path, dims):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# The designs whose singularities and energy profiles are pinned.
+GOLDEN_DESIGNS = sorted(p.parent.name for p in GOLDEN.glob("*/singularities.csv"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+@pytest.mark.parametrize("name", GOLDEN_DESIGNS)
 def test_singularities_match_goldens(tmp_path, name, fmt):
     # Designs on the kernel's fallback (a tangency, triple roots) and the
     # half turn; CI runs the same comparison on the installed CLI.
@@ -162,7 +167,7 @@ def test_singularities_match_goldens(tmp_path, name, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+@pytest.mark.parametrize("name", GOLDEN_DESIGNS)
 def test_energy_profile_matches_goldens(tmp_path, name, fmt):
     # Every total_energy digit of these files equals 30-digit quadrature's.
     assert main(["energy-profile", "--config",
@@ -170,6 +175,25 @@ def test_energy_profile_matches_goldens(tmp_path, name, fmt):
                  "--format", fmt, "--output", str(tmp_path)]) == 0
     written = (tmp_path / f"energy_profile.{fmt}").read_bytes()
     assert written == (GOLDEN / name / f"energy_profile.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["pose"], ["pose.csv"]),
+    (["pose", "--format", "json"], ["pose.json"]),
+    (["ik"], ["ik.csv"]),
+    (["ik", "--format", "json"], ["ik.json"]),
+    (["optimize", "--format", "json", "--degrees", "--workers", "1"],
+     ["best.json", "lambda_curve.json", "energy_curve.json"]),
+], ids=["pose-csv", "pose-json", "ik-csv", "ik-json", "optimize-json"])
+def test_command_matches_goldens(tmp_path, argv, files):
+    # A stacked pose, cable lengths and a small sweep, each in the directory
+    # named after its subcommand; CI runs the same comparison.
+    golden = GOLDEN / argv[0]
+    assert main(argv + ["--config", str(golden / "config.json"),
+                        "--output", str(tmp_path)]) == 0
+    for file in files:
+        assert (tmp_path / file).read_bytes() == \
+            (golden / file).read_bytes(), file
 
 
 def test_singularities_degrees(tmp_path, capsys):
@@ -274,6 +298,16 @@ def test_energy_profile_without_singularity_needs_range(tmp_path, capsys,
     meta = read_table(tmp_path / "energy_profile.csv")["meta"]
     assert meta["energy_at_sing"] is None
     assert meta["total_energy"] is None
+
+
+def test_energy_profile_of_a_design_singular_at_home_needs_range(tmp_path,
+                                                                  capsys):
+    # Plates this narrow leave the cables collinear with the spine at home.
+    config = write_config(tmp_path, {"geometry": {
+        "h1": 1e-320, "h2": 1e10, "h3": 1e10, "l1": 1e-320, "l2": 1e-320}})
+    assert main(["energy-profile", "--config", config,
+                 "--output", str(tmp_path)]) == 3
+    assert "range error" in capsys.readouterr().err
 
 
 def test_energy_profile_empty_range_is_a_range_error(tmp_path, capsys):
@@ -495,6 +529,238 @@ def test_samples_flag_below_two_exits_2(tmp_path, capsys):
     assert main(["energy-profile", "--config", config,
                  "--output", str(tmp_path), "--samples", "1"]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """``main``'s return value, or the code of the exit argparse takes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("pose", "ik", "singularities", "energy-profile", "optimize")
+    for flag in ("--samples=9", "--range=0,1", "--workers=1")
+    if (command, flag) not in {("energy-profile", "--samples=9"),
+                               ("energy-profile", "--range=0,1"),
+                               ("optimize", "--workers=1")}])
+def test_flag_of_another_subcommand_exits_2(tmp_path, capsys, command, flag):
+    config = write_config(tmp_path, {**UNIT_CONFIG, "alphas": [0.0]})
+    assert exit_code([command, "--config", config, "--output", str(tmp_path),
+                      flag]) == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, fragment", [
+    ("singularities", {"springs": {"k1": "x"}}, "springs.k1"),
+    ("singularities", {"samples": 1}, "samples"),
+    ("energy-profile", {"alphas": [0.0, None]}, "alphas[1]"),
+    ("energy-profile", {"workers": 0}, "workers"),
+    ("pose", {"resolutions": {"h1": 1.5}}, "resolutions.h1"),
+    ("ik", {"bounds": {"h2": [0.0, 3.0]}}, "bounds.h2"),
+    ("ik", {"stack": {"lambda": 2.0}}, "stack.lambda"),
+    ("ik", {"range": "wide"}, "range"),
+    ("optimize", {"geometry": {"h1": 1}}, "geometry.h2"),
+])
+def test_keys_a_subcommand_does_not_read_are_validated(
+        tmp_path, capsys, command, extra, fragment):
+    # One config may serve several subcommands, so each validates all keys.
+    config = {**UNIT_CONFIG, "alphas": [0.0],
+              "resolutions": {"h1": 2, "h2": 2, "l1": 2, "lambda": 2}}
+    path = write_config(tmp_path, {**config, **extra})
+    assert main([command, "--config", path, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+
+
+def test_flags_are_validated_as_config_keys(tmp_path, capsys):
+    # A flag replaces the key of its name, and is checked in its place.
+    config = write_config(tmp_path, {**UNIT_CONFIG, "samples": "many",
+                                     "range": None})
+    assert main(["energy-profile", "--config", config, "--output",
+                 str(tmp_path), "--samples", "3", "--range=-0.5,0.5"]) == 0
+    assert len(read_table(tmp_path / "energy_profile.csv")["rows"]) == 3
+    assert main(["energy-profile", "--config", config, "--output",
+                 str(tmp_path), "--range=a,b", "--samples", "3"]) == 2
+    assert "config error: range:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# designs at the edge of the float range: an error naming the field, never a
+# traceback or a written inf
+
+
+def test_stack_whose_levels_underflow_exits_2(tmp_path, capsys):
+    # lambda**2 scales the third level's dimensions to 0.
+    config = write_config(tmp_path, {**UNIT_CONFIG, "alphas": [0.1],
+                                     "stack": {"lambda": 1e-200}})
+    assert main(["pose", "--config", config, "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: stack.lambda:")
+    assert not (tmp_path / "pose.csv").exists()
+
+
+def test_optimize_with_overflowing_spring_energies_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "springs": {"k1": 1e308, "k2": 1e308},
+        "resolutions": {"h1": 2, "h2": 3, "l1": 3, "lambda": 2}})
+    assert main(["optimize", "--config", config, "--output", str(tmp_path),
+                 "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: springs:") and "overflow" in err
+    assert not (tmp_path / "best.csv").exists()
+
+
+@pytest.mark.parametrize("argv_range", [
+    ["--range=-1e308,1e308"], ["--range=-inf,0"], []])
+def test_energy_profile_range_of_infinite_width_exits_3(tmp_path, capsys,
+                                                        argv_range):
+    config = write_config(tmp_path, {**UNIT_CONFIG, "range": [-1e308, 1e308]})
+    assert main(["energy-profile", "--config", config,
+                 "--output", str(tmp_path)] + argv_range) == 3
+    assert capsys.readouterr().err.startswith("range error:")
+
+
+@pytest.mark.parametrize("command", ["singularities", "energy-profile"])
+def test_dimensions_too_far_apart_exit_2(tmp_path, capsys, command):
+    # Scaled by a power of two, every coefficient of the quartic underflows.
+    config = write_config(tmp_path, {"geometry": {
+        "h1": 1e200, "h2": 1e-300, "h3": 1e-300, "l1": 1e308, "l2": 1e-300}})
+    assert main([command, "--config", config, "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: geometry:")
+
+
+@pytest.mark.parametrize("command, config_data", [
+    ("pose", {"geometry": {"h1": 1, "h2": 1e308, "h3": 1e308, "l1": 1,
+                           "l2": 1}, "alphas": [0.3]}),
+    ("ik", {"geometry": {"h1": 1, "h2": 1e308, "h3": 1e308, "l1": 1,
+                         "l2": 1}, "alphas": [0.3]}),
+    # The segment's own points are finite, but the stacked frames are not.
+    ("pose", {"geometry": {"h1": 1e-200, "h2": 3, "h3": 1e308, "l1": 3,
+                           "l2": 1e-320}, "alphas": [3.1],
+              "stack": {"lambda": 1.0}}),
+], ids=["pose", "ik", "pose-stack"])
+def test_coordinates_past_the_float_range_exit_2(tmp_path, capsys, command,
+                                                 config_data):
+    config = write_config(tmp_path, config_data)
+    assert main([command, "--config", config, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: geometry:") and "overflow" in err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("data", [
+    b'{"samples": 1' + b"0" * 5000 + b"}",  # past the parser's digit limit
+    b'{"geometry": {"h1": 1' + b"0" * 400 + b"}}",  # past the float range
+    b'{"geometry": "\xe9"}',  # not UTF-8
+], ids=["long-integer", "huge-integer", "latin-1"])
+def test_undecodable_config_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["singularities", "--config", str(path),
+                 "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any config, any flag, on grids of at most 3 samples per axis
+
+
+def mostly(valid, other, odds=7):
+    """``valid`` ``odds`` times as often as ``other``."""
+    return st.sampled_from([True] * odds + [False]).flatmap(
+        lambda pick_valid: valid if pick_valid else other)
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.just([]), st.just({}), st.just([1.0, 2.0]))
+ODD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-320, 1e-200, 1e200, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.integers(-3, 3), st.floats(), JUNK)
+# Counts stay small, so that no grid has more than 3 samples per axis.
+COUNTS = mostly(st.integers(2, 3), st.one_of(st.integers(-1, 1), ODD))
+
+
+def number(lo, hi):
+    return mostly(st.floats(lo, hi), ODD, odds=15)
+
+
+def section(fields, partial=True):
+    """Mostly an object with every field; else one with an unknown key, a
+    subset of the fields, or a value that is not an object."""
+    complete = st.fixed_dictionaries(fields)
+    odd = [complete.map(lambda d: {**d, "bogus": 1}), ODD]
+    if partial:
+        odd.append(st.fixed_dictionaries({}, optional=fields))
+    return mostly(complete, st.one_of(*odd))
+
+
+GEOMETRY = section({f: number(0.0, 4.0) for f in ("h1", "h3")}
+                   | {f: number(0.05, 4.0) for f in ("h2", "l1", "l2")})
+# Key: (chance of being present in quarters, values).
+KEYS = {
+    "geometry": (3, GEOMETRY),
+    "alphas": (3, mostly(st.lists(number(-4.0, 4.0), min_size=1, max_size=3),
+                         st.one_of(st.lists(ODD, max_size=2), ODD))),
+    "springs": (2, section({"k1": number(0.1, 10.0), "k2": number(0.1, 10.0),
+                            "rest_fraction": number(0.05, 0.95)})),
+    "stack": (2, section({"lambda": number(0.05, 1.0)})),
+    "samples": (2, COUNTS),
+    "range": (1, mostly(st.tuples(number(-2.0, 0.0), number(0.01, 2.0)).map(list),
+                        st.one_of(st.lists(ODD, max_size=3), ODD))),
+    "bounds": (1, section({"h1": mostly(st.just([0.0, 1.0]),
+                                        st.lists(ODD, max_size=3)),
+                           "lambda": mostly(st.just([0.05, 1.0]),
+                                            st.just([0.0, 1.0]))})),
+    "workers": (1, COUNTS),
+    # Every axis is given, so no default resolution enlarges the grid.
+    "resolutions": (4, section({axis: COUNTS for axis
+                                in ("h1", "h2", "l1", "lambda")}, partial=False)),
+}
+
+
+@st.composite
+def configs(draw):
+    config = {key: draw(values) for key, (chance, values) in KEYS.items()
+              if draw(st.integers(0, 3)) < chance}
+    if draw(st.integers(0, 7)) == 0:
+        config["surprise"] = draw(ODD)
+    return config
+
+
+COMMON_FLAGS = ["--degrees", "--format=json"]
+OWN_FLAGS = {
+    "energy-profile": ["--samples=2", "--samples=3", "--samples=1",
+                       "--samples=x", "--range=-0.5,0.5", "--range=0.5,0.5",
+                       "--range=-1e308,1e308", "--range=nan,1", "--range=a,b",
+                       "--range=1"],
+    "optimize": ["--workers=1", "--workers=2", "--workers=0"],
+}
+
+
+@st.composite
+def commands(draw):
+    """A subcommand and flags: mostly its own, rarely another's."""
+    command = draw(st.sampled_from(["pose", "ik", "singularities",
+                                    "energy-profile", "optimize"]))
+    own = COMMON_FLAGS + OWN_FLAGS.get(command, [])
+    every = COMMON_FLAGS + sum(OWN_FLAGS.values(), [])
+    flags = draw(mostly(st.lists(st.sampled_from(own), max_size=2),
+                        st.lists(st.sampled_from(every), max_size=2)))
+    return [command, *flags]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=commands(), config=mostly(configs(), ODD, odds=15))
+def test_any_config_exits_with_a_documented_code(command, config):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = exit_code([*command, "--config", str(path),
+                          "--output", str(Path(scratch) / "out")])
+    assert code in (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STABLE_FLAT, UNIT, UNSTABLE_TALL, random_geometry
+from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, capped_alpha_sing,
+                      random_geometry)
 from tenseg import (DesignBounds, InvalidFraction, NoSingularity,
                     SegmentGeometry, SingularitySet, SpringParams, Stability,
                     cable_lengths, classify_home_stability, energy,
                     energy_profile, rest_length, singular_angles, total_energy)
-from tenseg.optimizer import capped_alpha_sing
 
 # Platform half-width tuned (to machine precision) so the home-pose energy
 # curvature of (h1=1, h2=1, h3=1, l1=1, l2=*) vanishes: the neutral boundary

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STABLE_FLAT, UNIT, random_angle, random_geometry
+from conftest import (STABLE_FLAT, UNIT, cable_lengths_squared, random_angle,
+                      random_geometry)
 from tenseg import (InvalidGeometry, InvalidRatio, SegmentGeometry,
-                    SegmentState, StackConfig, cable_lengths,
-                    cable_lengths_squared, normalize_angle, segment_points,
-                    singularity_condition, stack_forward, tapered_stack,
-                    validate_geometry)
+                    SegmentState, StackConfig, cable_lengths, normalize_angle,
+                    segment_points, singularity_condition, stack_forward,
+                    tapered_stack, validate_geometry)
 
 # ---------------------------------------------------------------------------
 # validation

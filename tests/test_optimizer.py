@@ -10,8 +10,8 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     SpringParams, SpringSpec, Stability,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
-from tenseg.optimizer import DesignRecord, _evaluate_chunk, capped_alpha_sing
-from conftest import oracle_real_roots
+from tenseg.optimizer import DesignRecord, _evaluate_chunk
+from conftest import capped_alpha_sing, oracle_real_roots
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 # ---------------------------------------------------------------------------

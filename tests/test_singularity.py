@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import STABLE_FLAT, UNIT, random_geometry, scan_singularities
+from conftest import (STABLE_FLAT, UNIT, cable_lengths_squared, random_geometry,
+                      scan_singularities)
 import tenseg.singularity as singularity_module
 from tenseg import (DesignBounds, SegmentGeometry, SingularitySet,
                     normalize_angle, singular_angles, singularity_condition)
@@ -89,7 +90,6 @@ def test_loop2_is_negated_loop1():
 def test_loop2_angles_are_stationary_for_second_cable():
     # Independent check of the mirror statement: the squared length of the
     # second cable has vanishing derivative at every loop-2 angle.
-    from tenseg import cable_lengths_squared
     rng = np.random.default_rng(59)
     step = 1e-6
     for _ in range(25):
