@@ -44,6 +44,10 @@ _BOUNDS_BOX = {"l1": L1_RANGE, "h1": H1_RANGE, "h2": H2_RANGE,
                "lambda": LAMBDA_RANGE}
 # Largest h1 + h2 + h3 + l1 + l2 of the design box (h3 = h1, l2 = lam * l1).
 _BOX_SIZE = 2 * H1_RANGE[1] + H2_RANGE[1] + (1 + LAMBDA_RANGE[1]) * L1_RANGE[1]
+# Most energy-profile samples: a profile holds a few 8-byte arrays of this
+# length, so this keeps it to tens of MB, while resolving any angle range to
+# a millionth of its width.
+_MAX_SAMPLES = 10**6
 
 
 class ConfigError(ValueError):
@@ -140,8 +144,20 @@ def _stack(value) -> float:
 
 def _resolutions(value) -> DesignBounds:
     section = _object(value, "resolutions", _RESOLUTION_FIELDS)
-    return DesignBounds(**{f"{key}_res": _as_integer(item, f"resolutions.{key}", 2)
-                           for key, item in section.items()})
+    counts = {f"{key}_res": _as_integer(item, f"resolutions.{key}", 2)
+              for key, item in section.items()}
+    try:
+        return DesignBounds(**counts)
+    except ValueError as exc:  # more designs than the sweep takes
+        raise ConfigError("resolutions", str(exc)) from exc
+
+
+def _samples(value) -> int:
+    samples = _as_integer(value, "samples", 2)
+    if samples > _MAX_SAMPLES:
+        raise ConfigError("samples", f"at most {_MAX_SAMPLES} samples, "
+                          f"got {samples}")
+    return samples
 
 
 def _bounds(value) -> None:
@@ -169,7 +185,7 @@ _SECTIONS = {
     "stack": _stack,
     "resolutions": _resolutions,
     "bounds": _bounds,
-    "samples": lambda value: _as_integer(value, "samples", 2),
+    "samples": _samples,
     "range": _range,
     "workers": lambda value: _as_integer(value, "workers", 1),
 }

@@ -18,17 +18,17 @@ spring energy ``E_t`` and then lexicographically smaller design vector —
 fully deterministic, and independent of how the sweep is chunked or
 parallelised.
 
-The sweep evaluates designs in fixed-size chunks with array arithmetic and
-optionally fans chunks out to worker processes.  Chunk boundaries and the
-merge do not depend on the worker count, so neither do the reports.  The
-singular angles, the energy integral and the home curvature come from the
-same batched kernels as the scalar API (:mod:`tenseg.singularity`,
-:mod:`tenseg.energy`), so a chunk's energies and curvatures equal the scalar
-calls' bit for bit.
-
-Energy only breaks ties, so each chunk integrates it just for its tie set,
-the rows at their taper's best score within the chunk; the score leads every
-comparison, so no other row can win (4,558 of 198,000 feasible default rows).
+The sweep runs in two passes.  The first scores every design in fixed-size
+chunks of array arithmetic, optionally fanned out to worker processes, into
+one array of the whole grid.  The second keeps, per taper, the designs at
+the best score (the tie set; 4,462 of the 198,000 feasible default designs,
+exactly the cap region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates
+their energy in one call and classifies only the winners.  Chunk boundaries
+do not depend on the worker count, so neither do the reports.  The singular
+angles, the energy integral and the home curvature come from the same
+batched kernels as the scalar API (:mod:`tenseg.singularity`,
+:mod:`tenseg.energy`), whose rows do not depend on the other rows of a call,
+so the sweep's energies and curvatures equal the scalar calls' bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,12 @@ _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
 # exactly, so boundary designs compare equal in the per-taper tie-breaking.
 _SNAP = 1e-7
-# Designs per work chunk; fixed so results never depend on the worker count.
+# Designs per work chunk: bounds the kernels' temporaries, and is fixed so
+# that the batches never depend on the worker count.
 _CHUNK = 2048
+# Largest grid: the sweep holds an 8-byte score for every design at once, so
+# this caps that array at 800 MB, and is checked before it is allocated.
+_MAX_GRID_SIZE = 10**8
 
 L1_RANGE = (0.0, 4.5)
 H1_RANGE = (0.0, 1.0)
@@ -96,6 +101,9 @@ class DesignBounds:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+        if self.grid_size > _MAX_GRID_SIZE:
+            raise ValueError(f"a grid of {self.grid_size} designs exceeds the "
+                             f"limit of {_MAX_GRID_SIZE}")
 
     @property
     def resolutions(self) -> tuple[int, int, int, int]:
@@ -187,62 +195,26 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
     return nearest
 
 
-def _evaluate_chunk(args):
-    """Evaluate one flat-index chunk of the grid; return per-taper candidates.
+def _grid_rows(bounds: DesignBounds, index):
+    """``(ilam, h1, h2, l1, lam)`` of the grid's flat indices ``index``, in
+    taper-major order (``lam`` outermost, then ``h1``, ``h2``, ``l1``)."""
+    ilam, ih1, ih2, il1 = np.unravel_index(
+        index, (bounds.lambda_res, bounds.h1_res, bounds.h2_res, bounds.l1_res))
+    return (ilam, bounds.h1_axis()[ih1], bounds.h2_axis()[ih2],
+            bounds.l1_axis()[il1], bounds.lambda_axis()[ilam])
 
-    The result maps each taper index present in the chunk to the payload
-    tuple of its best feasible design, ordered so tuple comparison implements
-    the (max alpha_sing, min E_t, lexicographic x) rule, plus counters.
 
-    Energies and the stability verdict are computed only for the rows whose
-    capped ``alpha_sing`` equals their taper's maximum within the chunk: the
-    score leads this selection and the merge key of :func:`optimize`, so no
-    other row can be chosen.
-    """
-    (h1_res, h2_res, l1_res, lambda_res, k1, k2, rest_fraction,
-     start, stop) = args
-    bounds = DesignBounds(h1_res=h1_res, h2_res=h2_res, l1_res=l1_res,
-                          lambda_res=lambda_res)
-    shape = (lambda_res, h1_res, h2_res, l1_res)
-    ilam, ih1, ih2, il1 = np.unravel_index(np.arange(start, stop), shape)
-    h1 = bounds.h1_axis()[ih1]
-    h2 = bounds.h2_axis()[ih2]
-    l1 = bounds.l1_axis()[il1]
-    lam = bounds.lambda_axis()[ilam]
-
+def _scores(task) -> np.ndarray:
+    """Capped ``alpha_sing`` of the flat indices ``[start, stop)`` of the grid;
+    ``-inf`` where ``h2 = 0`` (no middle link, infeasible)."""
+    bounds, start, stop = task
+    _, h1, h2, l1, lam = _grid_rows(bounds, np.arange(start, stop))
+    score = np.full(stop - start, -np.inf)
     feasible = h2 > 0.0
-    n_total = stop - start
-    n_feasible = int(feasible.sum())
-    if n_feasible == 0:
-        return {}, n_total, 0
-
-    ilam, h1, h2, l1, lam = (v[feasible] for v in (ilam, h1, h2, l1, lam))
-    l2 = lam * l1
-    nearest = _nearest_singularity_block(h1, h2, h1, l1, l2)
-    alpha_sing = np.where(nearest >= _PI_2 - _SNAP, _PI_2, nearest)
-
-    peak = np.full(lambda_res, -np.inf)
-    np.maximum.at(peak, ilam, alpha_sing)
-    ties = alpha_sing == peak[ilam]
-    ilam, h1, h2, l1, lam, l2, alpha_sing = (
-        v[ties] for v in (ilam, h1, h2, l1, lam, l2, alpha_sing))
-    h3 = h1
-    rho_home, _ = _cable_lengths_raw(h1, h2, h3, l1, l2, 0.0)
-    l0 = rest_fraction * rho_home
-    e_total = _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
-    e0, curvature, codes = _home_stability(h1, h2, h3, l1, l2, l0, k1, k2)
-    e_sing = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing)
-
-    order = np.lexsort((l1, h2, h1, e_total, -alpha_sing, ilam))
-    _, first = np.unique(ilam[order], return_index=True)
-    best = {}
-    for row in order[first]:
-        best[int(ilam[row])] = (
-            -alpha_sing[row], e_total[row], h1[row], h2[row], l1[row],
-            lam[row], l2[row], e0[row], e_sing[row], int(codes[row]),
-            curvature[row],
-        )
-    return best, n_total, n_feasible
+    h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
+    nearest = _nearest_singularity_block(h1, h2, h1, l1, lam * l1)
+    score[feasible] = np.where(nearest >= _PI_2 - _SNAP, _PI_2, nearest)
+    return score
 
 
 def optimize(bounds: DesignBounds | None = None,
@@ -261,49 +233,53 @@ def optimize(bounds: DesignBounds | None = None,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
 
+    # Pass 1: score the whole grid, one chunk alive at a time when serial.
     total = bounds.grid_size
-    tasks = [
-        (bounds.h1_res, bounds.h2_res, bounds.l1_res, bounds.lambda_res,
-         springs.k1, springs.k2, springs.rest_fraction,
-         start, min(start + _CHUNK, total))
-        for start in range(0, total, _CHUNK)
-    ]
-    if workers == 1 or len(tasks) == 1:
-        partials = [_evaluate_chunk(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            partials = list(pool.map(_evaluate_chunk, tasks))
+    starts = range(0, total, _CHUNK)
+    tasks = ((bounds, start, min(start + _CHUNK, total)) for start in starts)
+    score = np.empty(total)
+    parallel = workers > 1 and len(starts) > 1
+    with (ProcessPoolExecutor(min(workers, len(starts))) if parallel
+          else nullcontext()) as pool:
+        chunks = pool.map(_scores, tasks) if parallel else map(_scores, tasks)
+        for start, chunk in zip(starts, chunks):
+            score[start:start + chunk.size] = chunk
 
-    best: dict[int, tuple] = {}
-    n_designs = 0
-    n_feasible = 0
-    for chunk_best, chunk_total, chunk_feasible in partials:
-        n_designs += chunk_total
-        n_feasible += chunk_feasible
-        for index, payload in chunk_best.items():
-            incumbent = best.get(index)
-            if incumbent is None or payload[:5] < incumbent[:5]:
-                best[index] = payload
-
-    if not best:
+    n_feasible = int(np.count_nonzero(score > -np.inf))
+    if n_feasible == 0:
         raise EmptyGrid("no feasible design on the grid (all h2 samples are 0)")
 
-    records = []
-    for index in sorted(best):
-        (neg_alpha, e_total, h1, h2, l1, lam, l2, e0, e_sing, code,
-         curvature) = best[index]
-        records.append(DesignRecord(
-            x=(float(h1), float(h2), float(h1), float(l1), float(lam)),
-            l2=float(l2),
-            feasible=True,
-            alpha_sing=float(-neg_alpha),
-            total_energy=float(e_total),
-            energy_at_zero=float(e0),
-            energy_at_sing=float(e_sing),
-            stability=_STABILITY_CODES[code],
-            curvature=float(curvature),
-        ))
-    records = tuple(records)
+    # Pass 2: lam is the outermost axis, so each taper is one row of this
+    # view, and every taper shares the h2 axis, so each has a feasible peak.
+    # Energy only breaks ties, so only the rows at their taper's peak need it.
+    per_taper = score.reshape(bounds.lambda_res, -1)
+    ties = np.flatnonzero(per_taper == per_taper.max(axis=1)[:, None])
+    ilam, h1, h2, l1, lam = _grid_rows(bounds, ties)
+    l2 = lam * l1
+    alpha_sing = score[ties]
+    k1, k2 = springs.k1, springs.k2
+    l0 = springs.rest_fraction * _cable_lengths_raw(h1, h2, h1, l1, l2, 0.0)[0]
+    e_total = _energy_integral(h1, h2, h1, l1, l2, l0, k1, k2, alpha_sing)
+
+    # The first row per taper by (E_t, h1, h2, l1) wins.
+    order = np.lexsort((l1, h2, h1, e_total, ilam))
+    win = order[np.unique(ilam[order], return_index=True)[1]]
+    h1, h2, l1, lam, l2, l0, alpha_sing, e_total = (
+        v[win] for v in (h1, h2, l1, lam, l2, l0, alpha_sing, e_total))
+    e0, curvature, codes = _home_stability(h1, h2, h1, l1, l2, l0, k1, k2)
+    e_sing = _energy_raw(h1, h2, h1, l1, l2, l0, k1, k2, alpha_sing)
+    records = tuple(DesignRecord(
+        x=(float(h1[r]), float(h2[r]), float(h1[r]), float(l1[r]),
+           float(lam[r])),
+        l2=float(l2[r]),
+        feasible=True,
+        alpha_sing=float(alpha_sing[r]),
+        total_energy=float(e_total[r]),
+        energy_at_zero=float(e0[r]),
+        energy_at_sing=float(e_sing[r]),
+        stability=_STABILITY_CODES[codes[r]],
+        curvature=float(curvature[r]),
+    ) for r in range(len(win)))
     return OptimizationReport(
         bounds=bounds,
         springs=springs,
@@ -311,6 +287,6 @@ def optimize(bounds: DesignBounds | None = None,
         lambda_curve=tuple((r.lam, r.x[3], r.l2) for r in records),
         energy_curve=tuple((r.lam, r.total_energy) for r in records),
         max_alpha_sing=max(r.alpha_sing for r in records),
-        n_designs=n_designs,
+        n_designs=total,
         n_feasible=n_feasible,
     )

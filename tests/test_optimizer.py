@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     SpringParams, SpringSpec, Stability,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
-from tenseg.optimizer import DesignRecord, _evaluate_chunk
+from tenseg.optimizer import (DesignRecord, H2_RANGE, L1_RANGE,
+                              LAMBDA_RANGE)
 from conftest import capped_alpha_sing, oracle_real_roots
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
@@ -108,6 +110,7 @@ def test_enumeration_count_matches_grid_size():
 
 @pytest.mark.parametrize("kwargs", [
     dict(h1_res=1), dict(h2_res=0), dict(l1_res=-3), dict(lambda_res=2.5),
+    dict(h1_res=10**4, h2_res=10**4),  # 4e9 designs, past the grid limit
 ])
 def test_resolution_validation(kwargs):
     with pytest.raises(ValueError):
@@ -159,22 +162,23 @@ def test_spring_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# vectorised chunk path vs the scalar reference
+# vectorised sweep vs the scalar reference
 
 
 def test_chunk_evaluation_matches_reference():
     bounds = DesignBounds(h1_res=4, h2_res=5, l1_res=6, lambda_res=3)
     springs = SpringSpec()
-    chunk_best, n_total, n_feasible = _evaluate_chunk(
-        (4, 5, 6, 3, 1.0, 1.0, 0.4, 0, bounds.grid_size))
-    assert n_total == bounds.grid_size == 360
-    assert n_feasible == 360 - 4 * 6 * 3  # h2 = 0 plane is infeasible
+    report = optimize(bounds=bounds, springs=springs, workers=1)
+    assert report.n_designs == bounds.grid_size == 360
+    assert report.n_feasible == 360 - 4 * 6 * 3  # h2 = 0 plane is infeasible
 
     # Brute-force reference: best record per taper sample through the
-    # scalar pipeline, same tie-breaking.
+    # scalar pipeline, same tie-breaking.  The key puts the total energy
+    # right after the score, so among the designs at the best score the
+    # winner has the least energy, and only then the smallest design vector.
     points = list(enumerate_grid(bounds))
-    lam_axis = list(bounds.lambda_axis())
-    for ilam, lam in enumerate(lam_axis):
+    assert len(report.best) == bounds.lambda_res
+    for record, lam in zip(report.best, bounds.lambda_axis()):
         records = [evaluate_design(p, springs) for p in points
                    if p[4] == lam and p[1] > 0.0]
         key = min((-r.alpha_sing, r.total_energy, r.x[0], r.x[1], r.x[3])
@@ -182,21 +186,59 @@ def test_chunk_evaluation_matches_reference():
         reference = next(r for r in records
                          if (-r.alpha_sing, r.total_energy,
                              r.x[0], r.x[1], r.x[3]) == key)
-        payload = chunk_best[ilam]
-        neg_alpha, e_total, h1, h2, l1, lam_out, l2 = payload[:7]
-        e0, e_sing, code, curvature = payload[7:]
-        assert -neg_alpha == pytest.approx(reference.alpha_sing, abs=1e-9)
-        assert h1 == reference.x[0] and h2 == reference.x[1]
-        assert l1 == reference.x[3] and lam_out == lam
-        assert l2 == pytest.approx(reference.l2, rel=1e-15)
+        assert record.alpha_sing == pytest.approx(reference.alpha_sing,
+                                                  abs=1e-9)
+        assert record.x == reference.x and record.lam == lam
+        assert record.l2 == pytest.approx(reference.l2, rel=1e-15)
         # The sweep and the scalar API share the energy kernels, and a row
         # does not depend on the other rows of a call.
-        assert e_total == reference.total_energy
-        assert curvature == reference.curvature
-        assert e0 == pytest.approx(reference.energy_at_zero, rel=1e-12)
-        assert e_sing == pytest.approx(reference.energy_at_sing, rel=1e-8)
-        assert (Stability.STABLE, Stability.UNSTABLE,
-                Stability.NEUTRAL)[code] is reference.stability
+        assert record.total_energy == reference.total_energy
+        assert record.curvature == reference.curvature
+        assert record.energy_at_zero == pytest.approx(reference.energy_at_zero,
+                                                      rel=1e-12)
+        assert record.energy_at_sing == pytest.approx(reference.energy_at_sing,
+                                                      rel=1e-8)
+        assert record.stability is reference.stability
+
+
+def closed_form_cap_region(bounds: DesignBounds) -> set[int]:
+    """Flat indices of the designs with ``h1 = 0`` and
+    ``h2/l1 >= 4 lam/(1 + lam)``, decided exactly on the values the grid's
+    axes are meant to hold (the box's decimal bounds as fractions)."""
+    n_h1, n_h2, n_l1, n_lam = bounds.resolutions
+    lam_lo, lam_hi = (Fraction(str(v)) for v in LAMBDA_RANGE)
+    h2_hi, l1_hi = Fraction(str(H2_RANGE[1])), Fraction(str(L1_RANGE[1]))
+    region = set()
+    for ilam in range(n_lam):
+        lam = lam_lo + (lam_hi - lam_lo) * Fraction(ilam, n_lam - 1)
+        for ih2 in range(n_h2):
+            h2 = h2_hi * Fraction(ih2, n_h2 - 1)
+            for il1 in range(n_l1):
+                l1 = l1_hi * (il1 + Fraction(1, 2)) / n_l1
+                if h2 * (1 + lam) >= 4 * lam * l1:
+                    region.add(int(np.ravel_multi_index(
+                        (ilam, 0, ih2, il1), (n_lam, n_h1, n_h2, n_l1))))
+    return region
+
+
+@pytest.mark.parametrize("resolutions, size", [
+    ((11, 21, 45, 20), 4462),  # the default grid
+    ((3, 5, 9, 4), 54),  # two designs on the boundary, at lam = 1
+    ((4, 9, 18, 7), 297),
+])
+def test_cap_set_is_the_closed_form_region(resolutions, size):
+    # A flat design (h1 = h3 = 0) is singular at arcsin(h2 (1 + lam) /
+    # (4 lam l1)), so it reaches the pi/2 cap exactly when that ratio is at
+    # least 1; a design with h1 > 0 has a singularity inside (-pi/2, 0).
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = DesignBounds(*resolutions)
+    total, chunk = bounds.grid_size, optimizer_module._CHUNK
+    score = np.concatenate([
+        optimizer_module._scores((bounds, start, min(start + chunk, total)))
+        for start in range(0, total, chunk)])
+    cap = set(np.flatnonzero(score == math.pi / 2).tolist())
+    assert cap == closed_form_cap_region(bounds)
+    assert len(cap) == size
 
 
 def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
@@ -308,66 +350,63 @@ def test_refinement_never_loses_the_optimum():
         assert fine_by_lam[record.lam].alpha_sing >= record.alpha_sing - 1e-12
 
 
-def test_search_prefers_lower_total_energy_between_ties(small_report):
-    # Every best record attains the per-taper maximum score; among designs
-    # with the same score it has minimal total energy.  Tolerances absorb the
-    # tiny float drift between the chunked sweep and the scalar reference.
-    bounds = DesignBounds(h1_res=3, h2_res=5, l1_res=6, lambda_res=4)
-    points = list(enumerate_grid(bounds))
-    for record in small_report.best:
-        rivals = [evaluate_design(p) for p in points
-                  if p[4] == record.lam and p[1] > 0.0]
-        top = max(r.alpha_sing for r in rivals)
-        assert record.alpha_sing == pytest.approx(top, abs=1e-12)
-        ties = [r for r in rivals if r.alpha_sing == top]
-        best_energy = min(t.total_energy for t in ties)
-        assert record.total_energy <= best_energy * (1.0 + 1e-8) + 1e-12
-
-
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
                                                  chunk):
-    # Chunk boundaries cut through tapers (90 designs each); a chunk
-    # integrates energy only for the rows at its per-taper maximum score.
+    # Chunk boundaries cut through tapers (90 designs each), but the tie set
+    # is the grid's: one energy integral over the rows at their taper's
+    # maximum score, and one stability call over the winners.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = small_report.bounds
-    integrated = []
-    kernel = optimizer_module._energy_integral
+    calls = {"_energy_integral": [], "_home_stability": []}
+    for name, rows in calls.items():
+        def counting_kernel(h1, h2, h3, l1, l2, *rest,
+                            kernel=getattr(optimizer_module, name), rows=rows):
+            rows.append(sorted(zip(h1.tolist(), h2.tolist(), l1.tolist(),
+                                   l2.tolist())))
+            return kernel(h1, h2, h3, l1, l2, *rest)
 
-    def counting_kernel(h1, h2, h3, l1, l2, *rest):
-        integrated.extend(zip(h1.tolist(), h2.tolist(), l1.tolist(),
-                              l2.tolist()))
-        return kernel(h1, h2, h3, l1, l2, *rest)
-
+        monkeypatch.setattr(optimizer_module, name, counting_kernel)
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
-    monkeypatch.setattr(optimizer_module, "_energy_integral",
-                        counting_kernel)
     report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
     assert report == small_report
 
+    # Independent tie set: the sweep's own scores, with each taper's peak
+    # taken over the whole grid in plain Python.
     points = list(enumerate_grid(bounds))
-    for record in report.best:
-        rivals = [evaluate_design(p) for p in points
-                  if p[4] == record.lam and p[1] > 0.0]
-        key = min((-r.alpha_sing, r.total_energy, r.x[0], r.x[1], r.x[3])
-                  for r in rivals)
-        assert (record.x[0], record.x[1], record.x[3]) == key[2:]
-        assert -record.alpha_sing == pytest.approx(key[0], abs=1e-9)
-
-    # Independent tie sets: the sweep's own scores, grouped per chunk and
-    # taper in plain Python.
     h1, h2, _, l1, lam = (np.array(v) for v in zip(*points))
     l2 = lam * l1
     nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
-    expected = []
-    for start in range(0, len(points), chunk):
-        peaks = {}
-        rows = [i for i in range(start, min(start + chunk, len(points)))
-                if h2[i] > 0.0]
-        scores = {i: capped_alpha_sing(float(nearest[i])) for i in rows}
-        for i in rows:
-            peaks[lam[i]] = max(peaks.get(lam[i], -math.inf), scores[i])
-        expected += [(h1[i], h2[i], l1[i], l2[i]) for i in rows
-                     if scores[i] == peaks[lam[i]]]
-    assert sorted(integrated) == sorted(expected)
+    scores = {i: capped_alpha_sing(float(nearest[i]))
+              for i in range(len(points)) if h2[i] > 0.0}
+    peaks = {}
+    for i, score in scores.items():
+        peaks[lam[i]] = max(peaks.get(lam[i], -math.inf), score)
+    expected = sorted((h1[i], h2[i], l1[i], l2[i])
+                      for i, score in scores.items() if score == peaks[lam[i]])
+    assert calls["_energy_integral"] == [expected]
     assert len(expected) < report.n_feasible
+    assert calls["_home_stability"] == [sorted(
+        (r.x[0], r.x[1], r.x[3], r.l2) for r in report.best)]
+
+
+def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
+                                                           small_report):
+    # Energies grow with the design's scale, so on these grids the tie of
+    # least energy is also the smallest design; only a reversed energy order
+    # shows that the energy, not the design vector, picks among the ties.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    kernel = optimizer_module._energy_integral
+    monkeypatch.setattr(optimizer_module, "_energy_integral",
+                        lambda *args: -kernel(*args))
+    bounds = small_report.bounds
+    report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
+    score = optimizer_module._scores((bounds, 0, bounds.grid_size))
+    points = list(enumerate_grid(bounds))
+    for record, usual in zip(report.best, small_report.best, strict=True):
+        ties = [evaluate_design(p, small_report.springs)
+                for p, s in zip(points, score)
+                if p[4] == record.lam and s == usual.alpha_sing]
+        assert record.x == max(ties, key=lambda r: r.total_energy).x
+    assert any(record.x != usual.x
+               for record, usual in zip(report.best, small_report.best))
