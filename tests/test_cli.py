@@ -452,11 +452,6 @@ def test_twelve_significant_digits(tmp_path):
     ("energy-profile", {**UNIT_CONFIG, "springs": {"k1": -2.0}}, "springs"),
     ("energy-profile", {**UNIT_CONFIG, "springs": {"kk": 1.0}}, "springs.kk"),
     ("energy-profile", {**UNIT_CONFIG, "samples": 1}, "samples"),
-    # Past the limits, rejected before the profile or the grid is allocated.
-    ("energy-profile", {**UNIT_CONFIG, "samples": 10**12}, "samples"),
-    ("optimize", {"resolutions": dict.fromkeys(("h1", "h2", "l1", "lambda"),
-                                               10**6)}, "resolutions"),
-    ("optimize", {"resolutions": {"h1": 10**6}}, "resolutions"),
     ("optimize", {"resolutions": {"lambda": 1}}, "resolutions.lambda"),
     ("optimize", {"resolutions": {"depth": 3}}, "resolutions.depth"),
     ("optimize", {"workers": 0}, "workers"),
@@ -466,6 +461,11 @@ def test_twelve_significant_digits(tmp_path):
     ("optimize", {"springs": {"k2": "2"}}, "springs.k2"),
     ("optimize", {"bounds": {"l1": ["a", 1]}}, "bounds.l1"),
     ("optimize", {"bounds": {"h1": [False, 1]}}, "bounds.h1"),
+    # Past the limits, rejected before the profile or the grid is allocated.
+    ("energy-profile", {**UNIT_CONFIG, "samples": 10**12}, "samples"),
+    ("optimize", {"resolutions": dict.fromkeys(("h1", "h2", "l1", "lambda"),
+                                               10**6)}, "resolutions"),
+    ("optimize", {"resolutions": {"h1": 10**6}}, "resolutions"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, config_data,
                               fragment):
