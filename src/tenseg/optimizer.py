@@ -20,7 +20,10 @@ parallelised.
 
 The sweep runs in two passes.  The first scores every design in fixed-size
 chunks of array arithmetic, optionally fanned out to worker processes, into
-one array of the whole grid.  The second keeps, per taper, the designs at
+one array of the whole grid.  Flat rows take a closed form; each taper's best
+one sets a bar, a non-flat row whose quartic certainly changes sign inside
+the bar's angle is pruned unsolved (all 180,000 default ones), and only the
+rest reach the quartic kernel.  The second keeps, per taper, the designs at
 the best score (the tie set; 4,462 of the 198,000 feasible default designs,
 exactly the cap region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates
 their energy in one call and classifies only the winners.  Chunk boundaries
@@ -44,7 +47,8 @@ import numpy as np
 from .energy import (_STABILITY_CODES, Stability, _check_springs,
                      _energy_integral, _energy_raw, _home_stability)
 from .geometry import _cable_lengths_raw
-from .singularity import quartic_coefficients, quartic_real_roots
+from .singularity import (_SIGN_REL, _horner, quartic_coefficients,
+                          quartic_real_roots)
 
 _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
@@ -204,16 +208,46 @@ def _grid_rows(bounds: DesignBounds, index):
             bounds.l1_axis()[il1], bounds.lambda_axis()[ilam])
 
 
+def _capped(nearest: np.ndarray) -> np.ndarray:
+    """``nearest`` with the angles within ``_SNAP`` of pi/2 set to pi/2."""
+    return np.where(nearest >= _PI_2 - _SNAP, _PI_2, nearest)
+
+
+def _pruned(coeffs: np.ndarray, bar: np.ndarray):
+    """Mask of the ``(n, 5)`` loop-1 quartics certainly singular below
+    ``bar``, and ``b``, just below ``min(bar, pi/2 - 2 _SNAP)``.  A feasible
+    row has ``q(0) = B + C < 0``, so ``q > 0`` beyond Horner's rounding bound
+    at ``t = tan(b/2)`` or ``-tan(b/2)`` puts a singular angle in ``(-b, b)``.
+    """
+    b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
+    t = np.tan(0.5 * b)
+    (above, size), (below, _) = _horner(coeffs.T, t), _horner(coeffs.T, -t)
+    return np.maximum(above, below) > _SIGN_REL * 5 * size, b
+
+
 def _scores(task) -> np.ndarray:
-    """Capped ``alpha_sing`` of the flat indices ``[start, stop)`` of the grid;
-    ``-inf`` where ``h2 = 0`` (no middle link, infeasible)."""
+    """Scores of the flat indices ``[start, stop)`` of the grid; ``-inf``
+    where ``h2 = 0`` (no middle link, infeasible).
+
+    Each taper's bar is the capped score of its flat row at the largest
+    ``h2`` and the smallest ``l1`` sample, the best of its flat rows.  A
+    non-flat row that :func:`_pruned` settles below the bar scores ``b``:
+    not an ``alpha_sing`` but a bound on it, below its taper's peak.  Only
+    the other rows are solved, each to its capped ``alpha_sing``.
+    """
     bounds, start, stop = task
-    _, h1, h2, l1, lam = _grid_rows(bounds, np.arange(start, stop))
-    score = np.full(stop - start, -np.inf)
-    feasible = h2 > 0.0
-    h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
-    nearest = _nearest_singularity_block(h1, h2, h1, l1, lam * l1)
-    score[feasible] = np.where(nearest >= _PI_2 - _SNAP, _PI_2, nearest)
+    ilam, h1, h2, l1, lam = _grid_rows(bounds, np.arange(start, stop))
+    taper = bounds.lambda_axis()
+    zero, low = 0.0 * taper, np.full_like(taper, bounds.l1_axis().min())
+    bar = _capped(_nearest_singularity_block(
+        zero, zero + bounds.h2_axis().max(), zero, low, taper * low))
+    pruned, b = _pruned(quartic_coefficients(h1, h2, h1, l1, lam * l1),
+                        bar[ilam])
+    pruned &= (h1 > 0.0) & (h2 > 0.0)
+    score = np.where(pruned, b, -np.inf)
+    solve = (h2 > 0.0) & ~pruned
+    h1, h2, l1, lam = (v[solve] for v in (h1, h2, l1, lam))
+    score[solve] = _capped(_nearest_singularity_block(h1, h2, h1, l1, lam * l1))
     return score
 
 

@@ -177,18 +177,24 @@ def test_energy_profile_matches_goldens(tmp_path, name, fmt):
     assert written == (GOLDEN / name / f"energy_profile.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["pose"], ["pose.csv"]),
-    (["pose", "--format", "json"], ["pose.json"]),
-    (["ik"], ["ik.csv"]),
-    (["ik", "--format", "json"], ["ik.json"]),
-    (["optimize", "--format", "json", "--degrees", "--workers", "1"],
-     ["best.json", "lambda_curve.json", "energy_curve.json"]),
-], ids=["pose-csv", "pose-json", "ik-csv", "ik-json", "optimize-json"])
-def test_command_matches_goldens(tmp_path, argv, files):
-    # A stacked pose, cable lengths and a small sweep, each in the directory
-    # named after its subcommand; CI runs the same comparison.
-    golden = GOLDEN / argv[0]
+OPTIMIZE_JSON = ["optimize", "--format", "json", "--degrees", "--workers", "1"]
+OPTIMIZE_TABLES = ["best.json", "lambda_curve.json", "energy_curve.json"]
+
+
+@pytest.mark.parametrize("name, argv, files", [
+    ("pose", ["pose"], ["pose.csv"]),
+    ("pose", ["pose", "--format", "json"], ["pose.json"]),
+    ("ik", ["ik"], ["ik.csv"]),
+    ("ik", ["ik", "--format", "json"], ["ik.json"]),
+    ("optimize", OPTIMIZE_JSON, OPTIMIZE_TABLES),
+    ("optimize_survivors", OPTIMIZE_JSON, OPTIMIZE_TABLES),
+], ids=["pose-csv", "pose-json", "ik-csv", "ik-json", "optimize-json",
+        "optimize_survivors-json"])
+def test_command_matches_goldens(tmp_path, name, argv, files):
+    # A stacked pose, cable lengths, a small sweep and a sweep whose lam = 1
+    # winner is a non-flat row solved by the quartic kernel, each in the
+    # directory ``name``; CI runs the same comparison.
+    golden = GOLDEN / name
     assert main(argv + ["--config", str(golden / "config.json"),
                         "--output", str(tmp_path)]) == 0
     for file in files:

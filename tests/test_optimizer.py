@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     SpringParams, SpringSpec, Stability,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
 from tenseg.optimizer import (DesignRecord, H2_RANGE, L1_RANGE,
-                              LAMBDA_RANGE)
+                              LAMBDA_RANGE, _SNAP)
 from conftest import capped_alpha_sing, oracle_real_roots
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
@@ -268,6 +270,102 @@ def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
             assert swept == scalar
         else:
             assert swept == pytest.approx(scalar, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pruning against each taper's flat bar
+
+
+def unpruned_scores(task) -> np.ndarray:
+    """``_scores`` without pruning: the capped ``alpha_sing`` of every
+    feasible row of the task, each solved."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds, start, stop = task
+    _, h1, h2, l1, lam = optimizer_module._grid_rows(
+        bounds, np.arange(start, stop))
+    score = np.full(stop - start, -np.inf)
+    feasible = h2 > 0.0
+    h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
+    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1,
+                                                          lam * l1)
+    score[feasible] = [capped_alpha_sing(float(v)) for v in nearest]
+    return score
+
+
+def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
+    # On this grid, with two l1 samples, three non-flat rows are not settled
+    # by their taper's bar, and one of them wins lam = 1.  Every other sweep
+    # test's grid leaves the kernel nothing to solve.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = DesignBounds(5, 6, 2, 4)
+    solved = []
+
+    def counting_kernel(coeffs):
+        solved.append(len(coeffs))
+        return quartic_real_roots(coeffs)
+
+    monkeypatch.setattr(optimizer_module, "quartic_real_roots",
+                        counting_kernel)
+    report = optimize(bounds=bounds, workers=1)
+    assert solved == [3]
+    winner = report.best[-1]
+    assert winner.lam == 1.0 and winner.x[0] == 0.25
+    assert winner.alpha_sing == pytest.approx(1.2693, abs=1e-4)
+
+    # The brute force scores every feasible row through the kernel, then
+    # takes the same cap, tie set and tie-break.
+    monkeypatch.setattr(optimizer_module, "_scores", unpruned_scores)
+    brute = optimize(bounds=bounds, workers=1)
+    assert solved[1:] == [4 * 5 * 2 * 4]  # h1 > 0, h2 > 0, every l1 and lam
+    assert report == brute
+
+
+@pytest.mark.parametrize("resolutions", [
+    (5, 6, 2, 4), (3, 3, 2, 5), (6, 11, 2, 10), (4, 5, 6, 3)])
+def test_pruned_rows_score_below_their_taper_peak(resolutions):
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = DesignBounds(*resolutions)
+    task = (bounds, 0, bounds.grid_size)
+    score = optimizer_module._scores(task).reshape(bounds.lambda_res, -1)
+    exact = unpruned_scores(task).reshape(bounds.lambda_res, -1)
+    assert np.array_equal(score.max(axis=1), exact.max(axis=1))
+    peak = np.broadcast_to(exact.max(axis=1)[:, None], exact.shape)
+    pruned = score != exact
+    assert pruned.any()
+    # A pruned row keeps a finite score below its taper's peak, so it counts
+    # as feasible and joins no tie set; solved, it scores below the peak too.
+    assert (np.isfinite(score[pruned]) & (score[pruned] < peak[pruned])
+            & (exact[pruned] < peak[pruned])).all()
+
+
+def test_default_grid_solves_no_row(monkeypatch):
+    # Every one of the 180,000 feasible non-flat rows is pruned against its
+    # taper's flat bar, and the 18,000 flat ones take the closed form.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+
+    def no_kernel(coeffs):
+        raise AssertionError(f"{len(coeffs)} rows reached the kernel")
+
+    monkeypatch.setattr(optimizer_module, "quartic_real_roots", no_kernel)
+    report = optimize(workers=1)
+    assert (report.n_designs, report.n_feasible) == (207_900, 198_000)
+    assert all(r.alpha_sing == math.pi / 2 for r in report.best)
+
+
+@given(st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 100.0),
+                 st.floats(0.0, 100.0), st.floats(0.01, 100.0),
+                 st.floats(0.01, 100.0)).filter(lambda d: d[0] + d[2] >= 0.01),
+       st.floats(0.0, 0.5 * math.pi - 2.0 * _SNAP, exclude_min=True,
+                 exclude_max=True))
+@example((0.25, 2.0, 0.25, 1.125, 1.125), 1.27)  # pruned: 1.2693 < 1.27
+@example((0.25, 2.0, 0.25, 1.125, 1.125), 1.26)  # not pruned
+@settings(max_examples=300, deadline=None)
+def test_prune_certificate_is_sound(dims, b):
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    pruned, _ = optimizer_module._pruned(quartic_coefficients(*dims)[None, :],
+                                         np.array([b]))
+    if pruned[0]:
+        assert singular_angles(SegmentGeometry(*dims)).alpha_sing < b
 
 
 # ---------------------------------------------------------------------------
