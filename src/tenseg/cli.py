@@ -12,6 +12,8 @@ optimize        design grid search; writes best.csv, lambda_curve.csv and
 
 Every config key is validated, whichever subcommand reads it.  The flags
 ``--samples``, ``--range`` and ``--workers`` set the config key they name.
+``workers`` must be an integer >= 1 and is otherwise ignored: the sweep runs
+in one process.
 
 All numbers are written with 12 significant digits, UTF-8 encoded, LF line
 endings, identically for the CSV and JSON formats.  Exit codes: 0 success,
@@ -377,8 +379,7 @@ def cmd_energy_profile(config: dict, opts) -> int:
 def cmd_optimize(config: dict, opts) -> int:
     springs = config.get("springs", SpringSpec())
     _check_energy_bound(springs, _BOX_SIZE, "springs")
-    report = optimize(bounds=config.get("resolutions"), springs=springs,
-                      workers=config.get("workers"))
+    report = optimize(bounds=config.get("resolutions"), springs=springs)
 
     best_rows = []
     for record in report.best:
@@ -420,7 +421,8 @@ _COMMANDS = {
                   "help": "explicit angle range in radians "
                           "(write --range=LO,HI when LO is negative)"}}),
     "optimize": (cmd_optimize, {
-        "workers": {"type": int, "help": "worker processes for the grid sweep"}}),
+        "workers": {"type": int, "help": "accepted and ignored; the sweep "
+                                         "runs in one process"}}),
 }
 
 

@@ -15,31 +15,27 @@ pi/2 because the moving plate flips over beyond that (at ``2*alpha = pi``), so
 larger deflections are not mechanically useful.  For each taper ratio the
 search keeps the record with the largest score, breaking ties by smaller total
 spring energy ``E_t`` and then lexicographically smaller design vector —
-fully deterministic, and independent of how the sweep is chunked or
-parallelised.
+fully deterministic, and independent of how the sweep is chunked.
 
-The sweep runs in two passes.  The first scores every design in fixed-size
-chunks of array arithmetic, optionally fanned out to worker processes, into
-one array of the whole grid.  Flat rows take a closed form; each taper's best
-one sets a bar, a non-flat row whose quartic certainly changes sign inside
-the bar's angle is pruned unsolved (all 180,000 default ones), and only the
-rest reach the quartic kernel.  The second keeps, per taper, the designs at
-the best score (the tie set; 4,462 of the 198,000 feasible default designs,
-exactly the cap region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates
-their energy in one call and classifies only the winners.  Chunk boundaries
-do not depend on the worker count, so neither do the reports.  The singular
-angles, the energy integral and the home curvature come from the same
-batched kernels as the scalar API (:mod:`tenseg.singularity`,
-:mod:`tenseg.energy`), whose rows do not depend on the other rows of a call,
-so the sweep's energies and curvatures equal the scalar calls' bit for bit.
+The sweep runs in two passes, in one process.  The first scores every design
+in fixed-size chunks of array arithmetic into one array of the whole grid.
+Flat rows take a closed form; each taper's best one sets a bar, a non-flat
+row whose quartic certainly changes sign inside the bar's angle is pruned
+unsolved (all 180,000 default ones), and only the rest reach the quartic
+kernel.  The second keeps, per taper, the designs at the best score (the tie
+set; 4,462 of the 198,000 feasible default designs, exactly the cap region
+``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates their energy in one call
+and classifies only the winners.  No score depends on the other rows of its
+chunk, so the reports do not depend on the chunk size.  The singular angles,
+the energy integral and the home curvature come from the same batched
+kernels as the scalar API (:mod:`tenseg.singularity`, :mod:`tenseg.energy`),
+whose rows do not depend on the other rows of a call, so the sweep's
+energies and curvatures equal the scalar calls' bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +50,8 @@ _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
 # exactly, so boundary designs compare equal in the per-taper tie-breaking.
 _SNAP = 1e-7
-# Designs per work chunk: bounds the kernels' temporaries, and is fixed so
-# that the batches never depend on the worker count.
+# Designs per work chunk: bounds the kernels' temporaries, and so their share
+# of the sweep's peak memory, whatever the grid size.
 _CHUNK = 2048
 # Largest grid: the sweep holds an 8-byte score for every design at once, so
 # this caps that array at 800 MB, and is checked before it is allocated.
@@ -225,7 +221,7 @@ def _pruned(coeffs: np.ndarray, bar: np.ndarray):
     return np.maximum(above, below) > _SIGN_REL * 5 * size, b
 
 
-def _scores(task) -> np.ndarray:
+def _scores(bounds: DesignBounds, start: int, stop: int) -> np.ndarray:
     """Scores of the flat indices ``[start, stop)`` of the grid; ``-inf``
     where ``h2 = 0`` (no middle link, infeasible).
 
@@ -235,7 +231,6 @@ def _scores(task) -> np.ndarray:
     not an ``alpha_sing`` but a bound on it, below its taper's peak.  Only
     the other rows are solved, each to its capped ``alpha_sing``.
     """
-    bounds, start, stop = task
     ilam, h1, h2, l1, lam = _grid_rows(bounds, np.arange(start, stop))
     taper = bounds.lambda_axis()
     zero, low = 0.0 * taper, np.full_like(taper, bounds.l1_axis().min())
@@ -252,32 +247,20 @@ def _scores(task) -> np.ndarray:
 
 
 def optimize(bounds: DesignBounds | None = None,
-             springs: SpringSpec | None = None,
-             workers: int | None = None) -> OptimizationReport:
+             springs: SpringSpec | None = None) -> OptimizationReport:
     """Sweep the design grid and report the best design per taper ratio.
 
-    ``workers`` sets the process count (default: the available CPUs); the
-    result is byte-for-byte independent of it.  Raises :class:`EmptyGrid`
-    when no feasible design exists.
+    Raises :class:`EmptyGrid` when no feasible design exists.
     """
     bounds = bounds or DesignBounds()
     springs = springs or SpringSpec()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
 
-    # Pass 1: score the whole grid, one chunk alive at a time when serial.
+    # Pass 1: score the whole grid, one chunk's temporaries alive at a time.
     total = bounds.grid_size
-    starts = range(0, total, _CHUNK)
-    tasks = ((bounds, start, min(start + _CHUNK, total)) for start in starts)
     score = np.empty(total)
-    parallel = workers > 1 and len(starts) > 1
-    with (ProcessPoolExecutor(min(workers, len(starts))) if parallel
-          else nullcontext()) as pool:
-        chunks = pool.map(_scores, tasks) if parallel else map(_scores, tasks)
-        for start, chunk in zip(starts, chunks):
-            score[start:start + chunk.size] = chunk
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        score[start:stop] = _scores(bounds, start, stop)
 
     n_feasible = int(np.count_nonzero(score > -np.inf))
     if n_feasible == 0:

@@ -5,6 +5,7 @@ real terminal (bypassing capture) and then asserts, so a single run of this
 module gives the complete scorecard.
 """
 
+import importlib
 import math
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, cable_lengths_squared,
 @pytest.fixture(scope="module")
 def default_report():
     """The design sweep at default resolutions (shared by criteria 4, 5, 7)."""
-    return optimize(bounds=DesignBounds(), springs=SpringSpec(), workers=1)
+    return optimize(bounds=DesignBounds(), springs=SpringSpec())
 
 
 @pytest.fixture()
@@ -259,14 +260,19 @@ def test_criterion_7_best_designs_have_clean_energy_wells(verdict,
             "; ".join(failures[:5]))
 
 
-def test_criterion_8_sweep_output_is_worker_independent(verdict, tmp_path):
-    """The full-resolution sweep writes byte-identical files for 1 or 8 workers."""
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert main(["optimize", "--output", str(serial), "--workers", "1"]) == 0
-    assert main(["optimize", "--output", str(parallel), "--workers", "8"]) == 0
+def test_criterion_8_sweep_output_is_worker_independent(verdict, tmp_path,
+                                                        monkeypatch):
+    """The full-resolution sweep writes byte-identical files whatever its
+    chunk size, here 2048 and 1001 (which does not divide a taper's 10,395
+    rows), and whatever ``--workers`` says (it is ignored)."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    whole, odd = tmp_path / "chunk2048", tmp_path / "chunk1001"
+    monkeypatch.setattr(optimizer_module, "_CHUNK", 2048)
+    assert main(["optimize", "--output", str(whole)]) == 0
+    monkeypatch.setattr(optimizer_module, "_CHUNK", 1001)
+    assert main(["optimize", "--output", str(odd), "--workers", "2"]) == 0
     names = ("best.csv", "lambda_curve.csv", "energy_curve.csv")
     different = [name for name in names
-                 if (serial / name).read_bytes() != (parallel / name).read_bytes()]
-    verdict(8, "sweep output is worker-independent", not different,
-            f"files differing between worker counts: {different}")
+                 if (whole / name).read_bytes() != (odd / name).read_bytes()]
+    verdict(8, "sweep output is chunk-independent", not different,
+            f"files differing between chunk sizes: {different}")

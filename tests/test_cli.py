@@ -177,7 +177,7 @@ def test_energy_profile_matches_goldens(tmp_path, name, fmt):
     assert written == (GOLDEN / name / f"energy_profile.{fmt}").read_bytes()
 
 
-OPTIMIZE_JSON = ["optimize", "--format", "json", "--degrees", "--workers", "1"]
+OPTIMIZE_JSON = ["optimize", "--format", "json", "--degrees"]
 OPTIMIZE_TABLES = ["best.json", "lambda_curve.json", "energy_curve.json"]
 
 
@@ -334,8 +334,7 @@ def small_resolutions():
 
 def test_optimize_outputs(tmp_path, capsys, small_resolutions):
     config = write_config(tmp_path, small_resolutions)
-    assert main(["optimize", "--config", config, "--output", str(tmp_path),
-                 "--workers", "1"]) == 0
+    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("wrote") == 3
     assert "max alpha_sing = " in out and out.rstrip().endswith("rad")
@@ -363,22 +362,20 @@ def test_optimize_bounds_restatement_allowed(tmp_path, small_resolutions):
         **small_resolutions,
         "bounds": {"l1": [0.0, 4.5], "h1": [0.0, 1.0],
                    "h2": [0.0, 2.0], "lambda": [0.05, 1.0]}})
-    assert main(["optimize", "--config", config, "--output", str(tmp_path),
-                 "--workers", "1"]) == 0
+    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 0
 
 
 def test_optimize_bounds_override_rejected(tmp_path, capsys,
                                            small_resolutions):
     config = write_config(tmp_path, {**small_resolutions,
                                      "bounds": {"l1": [0.0, 9.0]}})
-    assert main(["optimize", "--config", config, "--output", str(tmp_path),
-                 "--workers", "1"]) == 2
+    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "bounds.l1" in err and "fixed" in err
 
 
 def test_optimize_worker_count_does_not_change_bytes(tmp_path):
-    # Two chunks' worth of designs, merged identically either way.
+    # --workers is validated and ignored: the sweep runs in one process.
     config = write_config(tmp_path, {"resolutions":
                                      {"h1": 3, "h2": 5, "l1": 30,
                                       "lambda": 5}})
@@ -395,7 +392,7 @@ def test_optimize_worker_count_does_not_change_bytes(tmp_path):
 def test_optimize_json_structure(tmp_path, small_resolutions):
     config = write_config(tmp_path, small_resolutions)
     main(["optimize", "--config", config, "--output", str(tmp_path),
-          "--format", "json", "--workers", "1"])
+          "--format", "json"])
     document = json.loads((tmp_path / "best.json").read_text())
     assert set(document) == {"rows"}
     assert len(document["rows"]) == 3
@@ -616,8 +613,7 @@ def test_optimize_with_overflowing_spring_energies_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {
         "springs": {"k1": 1e308, "k2": 1e308},
         "resolutions": {"h1": 2, "h2": 3, "l1": 3, "lambda": 2}})
-    assert main(["optimize", "--config", config, "--output", str(tmp_path),
-                 "--workers", "1"]) == 2
+    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: springs:") and "overflow" in err
     assert not (tmp_path / "best.csv").exists()
@@ -786,3 +782,25 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "ik.csv").exists()
+
+
+POOL_PROBE = """\
+import sys
+import tenseg.cli
+code = tenseg.cli.main(sys.argv[1:])
+print(code, sorted({"concurrent.futures.process", "multiprocessing"}
+                   & set(sys.modules)))
+"""
+
+
+def test_optimize_loads_no_process_pool(tmp_path, small_resolutions):
+    # The sweep runs in one process: neither the CLI nor a sweep imports the
+    # pool's modules, and --workers is still accepted (and ignored).
+    config = write_config(tmp_path, small_resolutions)
+    result = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, "optimize", "--workers", "2",
+         "--config", config, "--output", str(tmp_path)],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "best.csv").exists()

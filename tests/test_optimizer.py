@@ -170,7 +170,7 @@ def test_spring_spec_validation():
 def test_chunk_evaluation_matches_reference():
     bounds = DesignBounds(h1_res=4, h2_res=5, l1_res=6, lambda_res=3)
     springs = SpringSpec()
-    report = optimize(bounds=bounds, springs=springs, workers=1)
+    report = optimize(bounds=bounds, springs=springs)
     assert report.n_designs == bounds.grid_size == 360
     assert report.n_feasible == 360 - 4 * 6 * 3  # h2 = 0 plane is infeasible
 
@@ -236,7 +236,7 @@ def test_cap_set_is_the_closed_form_region(resolutions, size):
     bounds = DesignBounds(*resolutions)
     total, chunk = bounds.grid_size, optimizer_module._CHUNK
     score = np.concatenate([
-        optimizer_module._scores((bounds, start, min(start + chunk, total)))
+        optimizer_module._scores(bounds, start, min(start + chunk, total))
         for start in range(0, total, chunk)])
     cap = set(np.flatnonzero(score == math.pi / 2).tolist())
     assert cap == closed_form_cap_region(bounds)
@@ -276,11 +276,10 @@ def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
 # pruning against each taper's flat bar
 
 
-def unpruned_scores(task) -> np.ndarray:
+def unpruned_scores(bounds, start, stop) -> np.ndarray:
     """``_scores`` without pruning: the capped ``alpha_sing`` of every
-    feasible row of the task, each solved."""
+    feasible row of ``[start, stop)``, each solved."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
-    bounds, start, stop = task
     _, h1, h2, l1, lam = optimizer_module._grid_rows(
         bounds, np.arange(start, stop))
     score = np.full(stop - start, -np.inf)
@@ -306,7 +305,7 @@ def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
 
     monkeypatch.setattr(optimizer_module, "quartic_real_roots",
                         counting_kernel)
-    report = optimize(bounds=bounds, workers=1)
+    report = optimize(bounds=bounds)
     assert solved == [3]
     winner = report.best[-1]
     assert winner.lam == 1.0 and winner.x[0] == 0.25
@@ -315,7 +314,7 @@ def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
     # The brute force scores every feasible row through the kernel, then
     # takes the same cap, tie set and tie-break.
     monkeypatch.setattr(optimizer_module, "_scores", unpruned_scores)
-    brute = optimize(bounds=bounds, workers=1)
+    brute = optimize(bounds=bounds)
     assert solved[1:] == [4 * 5 * 2 * 4]  # h1 > 0, h2 > 0, every l1 and lam
     assert report == brute
 
@@ -325,9 +324,9 @@ def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
 def test_pruned_rows_score_below_their_taper_peak(resolutions):
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = DesignBounds(*resolutions)
-    task = (bounds, 0, bounds.grid_size)
-    score = optimizer_module._scores(task).reshape(bounds.lambda_res, -1)
-    exact = unpruned_scores(task).reshape(bounds.lambda_res, -1)
+    shape = (bounds.lambda_res, -1)
+    score = optimizer_module._scores(bounds, 0, bounds.grid_size).reshape(shape)
+    exact = unpruned_scores(bounds, 0, bounds.grid_size).reshape(shape)
     assert np.array_equal(score.max(axis=1), exact.max(axis=1))
     peak = np.broadcast_to(exact.max(axis=1)[:, None], exact.shape)
     pruned = score != exact
@@ -347,7 +346,7 @@ def test_default_grid_solves_no_row(monkeypatch):
         raise AssertionError(f"{len(coeffs)} rows reached the kernel")
 
     monkeypatch.setattr(optimizer_module, "quartic_real_roots", no_kernel)
-    report = optimize(workers=1)
+    report = optimize()
     assert (report.n_designs, report.n_feasible) == (207_900, 198_000)
     assert all(r.alpha_sing == math.pi / 2 for r in report.best)
 
@@ -375,7 +374,7 @@ def test_prune_certificate_is_sound(dims, b):
 @pytest.fixture(scope="module")
 def small_report():
     bounds = DesignBounds(h1_res=3, h2_res=5, l1_res=6, lambda_res=4)
-    return optimize(bounds=bounds, springs=SpringSpec(), workers=1)
+    return optimize(bounds=bounds, springs=SpringSpec())
 
 
 def test_report_structure(small_report):
@@ -415,33 +414,20 @@ def test_best_records_agree_with_scalar_evaluation(small_report):
         assert record.stability is reference.stability
 
 
-def test_optimize_deterministic_across_workers():
-    bounds = DesignBounds(h1_res=5, h2_res=9, l1_res=24, lambda_res=5)
-    assert bounds.grid_size == 5400  # spans three work chunks
-    serial = optimize(bounds=bounds, workers=1)
-    parallel = optimize(bounds=bounds, workers=3)
-    assert serial == parallel  # dataclass equality: bitwise-identical floats
-
-
 def test_optimize_empty_grid(monkeypatch):
     optimizer_module = importlib.import_module("tenseg.optimizer")
     monkeypatch.setattr(optimizer_module.DesignBounds, "h2_axis",
                         lambda self: np.zeros(self.h2_res))
     with pytest.raises(EmptyGrid):
         optimize(bounds=DesignBounds(h1_res=2, h2_res=2, l1_res=2,
-                                     lambda_res=2), workers=1)
-
-
-def test_optimize_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        optimize(bounds=DesignBounds(2, 2, 2, 2), workers=0)
+                                     lambda_res=2))
 
 
 def test_refinement_never_loses_the_optimum():
     # The finer grid shares every coarse sample point (axis construction),
     # so each per-taper best can only improve.
-    coarse = optimize(bounds=DesignBounds(3, 3, 3, 4), workers=1)
-    fine = optimize(bounds=DesignBounds(5, 5, 9, 7), workers=1)
+    coarse = optimize(bounds=DesignBounds(3, 3, 3, 4))
+    fine = optimize(bounds=DesignBounds(5, 5, 9, 7))
     fine_by_lam = {r.lam: r for r in fine.best}
     for record in coarse.best:
         assert record.lam in fine_by_lam
@@ -466,7 +452,7 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
 
         monkeypatch.setattr(optimizer_module, name, counting_kernel)
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
-    report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
+    report = optimize(bounds=bounds, springs=small_report.springs)
     assert report == small_report
 
     # Independent tie set: the sweep's own scores, with each taper's peak
@@ -498,8 +484,8 @@ def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
     monkeypatch.setattr(optimizer_module, "_energy_integral",
                         lambda *args: -kernel(*args))
     bounds = small_report.bounds
-    report = optimize(bounds=bounds, springs=small_report.springs, workers=1)
-    score = optimizer_module._scores((bounds, 0, bounds.grid_size))
+    report = optimize(bounds=bounds, springs=small_report.springs)
+    score = optimizer_module._scores(bounds, 0, bounds.grid_size)
     points = list(enumerate_grid(bounds))
     for record, usual in zip(report.best, small_report.best, strict=True):
         ties = [evaluate_design(p, small_report.springs)
