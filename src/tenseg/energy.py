@@ -186,7 +186,8 @@ def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
 
 
 def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
-    """Per row: ``E(0)``, the curvature ``E''(0)`` and a verdict code.
+    """Per row (of arrays, or of scalars): ``E(0)``, the curvature ``E''(0)``,
+    a verdict code and the Neutral band ``tau``.
 
     With ``S = rho1**2``, ``x = l1 - l2`` and ``y = h1 + h2 + h3``, at 0
         S'/2  = -(x (h2 + 2 h3) + 2 l2 y),
@@ -196,24 +197,27 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     ``(k1 + k2) (rho'^2 + (1 - l0 / rho) (S''/2 - rho'^2))`` so that no term
     exceeds a small multiple of the squared dimensions.
     """
+    # x * x, not x ** 2: on a numpy scalar that calls pow, another rounding.
     x = l1 - l2
     y = h1 + h2 + h3
+    u = h2 + 2.0 * h3
     rho = np.hypot(x, y)
-    slope = -(x * (h2 + 2.0 * h3) + 2.0 * l2 * y) / rho
-    bend = ((h2 + 2.0 * h3) ** 2 + 4.0 * l2 * l2 + 4.0 * l2 * x
-            - y * (h2 + 4.0 * h3))
+    slope = -(x * u + 2.0 * l2 * y) / rho
+    bend = u * u + 4.0 * l2 * l2 + 4.0 * l2 * x - y * (h2 + 4.0 * h3)
     curvature = (k1 + k2) * (slope * slope
                              + (1.0 - l0 / rho) * (bend - slope * slope))
-    e0 = 0.5 * (k1 * (rho - l0) ** 2 + k2 * (rho - l0) ** 2)
+    stretch = rho - l0
+    e0 = 0.5 * (k1 * (stretch * stretch) + k2 * (stretch * stretch))
     tau = _TAU_REL * np.maximum(1.0, e0)
-    codes = np.where(curvature > tau, 0, np.where(curvature < -tau, 1, 2))
-    return e0, curvature, codes
+    # Indices into _STABILITY_CODES: 0 above the band, 1 below it, else 2.
+    codes = 2 - 2 * (curvature > tau) - (curvature < -tau)
+    return e0, curvature, codes, tau
 
 
-def _one_row(g: SegmentGeometry, springs: SpringParams):
-    """Kernel arguments of one design, with ``l0`` among the 1-row arrays."""
-    rows = (g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0)
-    return (*(np.array([v]) for v in rows), springs.k1, springs.k2)
+def _one_row(g: SegmentGeometry, springs: SpringParams) -> np.ndarray:
+    """``(h1, h2, h3, l1, l2, l0)`` of one design: unpacked, numpy scalars
+    that keep numpy's overflow semantics."""
+    return np.array([g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0])
 
 
 def total_energy(g: SegmentGeometry, springs: SpringParams,
@@ -232,8 +236,8 @@ def total_energy(g: SegmentGeometry, springs: SpringParams,
     if not (alpha_sing >= 0.0 and math.isfinite(alpha_sing)):
         raise ValueError(
             f"alpha_sing must be finite and >= 0, got {alpha_sing!r}")
-    return float(_energy_integral(*_one_row(g, springs),
-                                  np.array([float(alpha_sing)]))[0])
+    return float(_energy_integral(*_one_row(g, springs)[:, None], springs.k1,
+                                  springs.k2, np.array([float(alpha_sing)]))[0])
 
 
 def classify_home_stability(g: SegmentGeometry,
@@ -244,7 +248,7 @@ def classify_home_stability(g: SegmentGeometry,
     sweep's kernel.  Verdicts within ``tau = 1e-7 * max(1, E(0))`` of zero
     are Neutral.
     """
-    e0, curvature, codes = _home_stability(*_one_row(g, springs))
-    return StabilityClass(stability=_STABILITY_CODES[int(codes[0])],
-                          curvature=float(curvature[0]),
-                          threshold=_TAU_REL * max(1.0, float(e0[0])))
+    _, curvature, code, tau = _home_stability(*_one_row(g, springs),
+                                              springs.k1, springs.k2)
+    return StabilityClass(stability=_STABILITY_CODES[code],
+                          curvature=float(curvature), threshold=float(tau))

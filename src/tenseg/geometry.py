@@ -174,20 +174,25 @@ def _cable_lengths_raw(h1, h2, h3, l1, l2, alpha):
     return rho1, rho2
 
 
+def _spine(g: SegmentGeometry, alpha: float):
+    """``c0``, ``d0`` and the plate direction ``(cos 2a, sin 2a)`` at
+    ``alpha``, each a pair of floats summed from ``b0 = (0, h1)`` up."""
+    cos_2a, sin_2a = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
+    c0 = (0.0 - g.h2 * math.sin(alpha), g.h1 + g.h2 * math.cos(alpha))
+    d0 = (c0[0] - g.h3 * sin_2a, c0[1] + g.h3 * cos_2a)
+    return c0, d0, (cos_2a, sin_2a)
+
+
 def segment_points(g: SegmentGeometry, state: SegmentState) -> SegmentPose:
     """Forward kinematics of one segment: all seven points at ``state.alpha``."""
-    a = state.alpha
-    sin_a, cos_a = math.sin(a), math.cos(a)
-    sin_2a, cos_2a = math.sin(2.0 * a), math.cos(2.0 * a)
-    b0 = np.array([0.0, g.h1])
-    c0 = b0 + g.h2 * np.array([-sin_a, cos_a])
-    d0 = c0 + g.h3 * np.array([-sin_2a, cos_2a])
-    plate = g.l2 * np.array([cos_2a, sin_2a])
+    c0, d0, plate = _spine(g, state.alpha)
+    d0 = np.array(d0)
+    plate = g.l2 * np.array(plate)
     return SegmentPose(
         a1=np.array([-g.l1, 0.0]),
         a2=np.array([g.l1, 0.0]),
-        b0=b0,
-        c0=c0,
+        b0=np.array([0.0, g.h1]),
+        c0=np.array(c0),
         d0=d0,
         d1=d0 - plate,
         d2=d0 + plate,
@@ -255,11 +260,6 @@ def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:
     return StackConfig(segments=segments, states=states)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def stack_forward(config: StackConfig) -> tuple[Frame2D, Frame2D, Frame2D]:
     """Forward kinematics of a stack: the moving-plate frame of each level.
 
@@ -267,12 +267,12 @@ def stack_forward(config: StackConfig) -> tuple[Frame2D, Frame2D, Frame2D]:
     rotation by ``2*alpha``; frames compose bottom-up starting from the
     world-aligned base frame at the origin.
     """
-    origin = np.zeros(2)
-    theta = 0.0
+    x = y = theta = 0.0
     frames = []
     for g, st in zip(config.segments, config.states):
-        pose = segment_points(g, st)
-        origin = origin + _rotation(theta) @ pose.d0
+        _, (dx, dy), _ = _spine(g, st.alpha)
+        c, s = math.cos(theta), math.sin(theta)
+        x, y = x + (c * dx - s * dy), y + (s * dx + c * dy)
         theta = normalize_angle(theta + 2.0 * st.alpha)
-        frames.append(Frame2D(origin=origin, theta=theta))
+        frames.append(Frame2D(origin=np.array([x, y]), theta=theta))
     return tuple(frames)

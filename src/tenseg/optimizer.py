@@ -283,7 +283,7 @@ def optimize(bounds: DesignBounds | None = None,
     win = order[np.unique(ilam[order], return_index=True)[1]]
     h1, h2, l1, lam, l2, l0, alpha_sing, e_total = (
         v[win] for v in (h1, h2, l1, lam, l2, l0, alpha_sing, e_total))
-    e0, curvature, codes = _home_stability(h1, h2, h1, l1, l2, l0, k1, k2)
+    e0, curvature, codes, _ = _home_stability(h1, h2, h1, l1, l2, l0, k1, k2)
     e_sing = _energy_raw(h1, h2, h1, l1, l2, l0, k1, k2, alpha_sing)
     records = tuple(DesignRecord(
         x=(float(h1[r]), float(h2[r]), float(h1[r]), float(l1[r]),

@@ -23,6 +23,9 @@ line into pieces where ``q`` is monotone: a certain sign change between two
 of them holds one simple root, and a critical point where ``q`` vanishes to
 rounding is a multiple root (Lazard, J. Symbolic Comput. 5, 1988).
 
+One row, as :func:`singular_angles` passes it, runs unbatched on numpy
+scalars: the same bits as in any batch, at a fraction of the dispatch cost.
+
 ``alpha = pi`` is a root of multiplicity ``4 - degree`` when the leading
 coefficients vanish.  The key figure of merit is ``alpha_sing``: the singular
 angle nearest the home configuration ``alpha = 0``, which bounds the usable
@@ -92,26 +95,27 @@ def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
                      c - b]).T
 
 
-# Weights of the monomials formed in _invariants, one row per invariant
+# Weights of the monomials formed in _invariants, one column per invariant
 # of a t^4 + b t^3 + c t^2 + d t + e, padded with zero weights.
 _WEIGHTS = np.array([
     [1, -3, 12, 0, 0],         # I: cc bd ae
     [2, -9, 27, 27, -72],      # J: ccc bcd bbe add ace
     [8, -3, 0, 0, 0],          # P: ac bb
     [64, -16, 16, -16, -3],    # D: aaae aacc abbc aabd bbbb
-], dtype=float)[:, :, None]
+], dtype=float).T
 
 
 def _invariants(unit: np.ndarray):
     """``I``, ``J``, ``P``, ``D`` of each column's quartic and the sums of
-    their terms' sizes, each ``(4, m)``."""
+    their terms' sizes, each ``(4, ...)`` from ``(5, ...)``."""
     e, d, c, b, a = unit
     aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
-    terms = _WEIGHTS * np.array([
+    # Transposed both ways, so that the weights meet a batch axis or none.
+    terms = (_WEIGHTS * np.array([
         [cc, bd, ae, cc, cc],
         [c * cc, c * bd, e * bb, a * d * d, c * ae],
         [ac, bb, cc, cc, cc],
-        [aa * ae, ac * ac, bb * ac, aa * bd, bb * bb]])
+        [aa * ae, ac * ac, bb * ac, aa * bd, bb * bb]]).T).T
     # Summed term by term in a fixed order, so that a column's invariants do
     # not depend on the other columns (a matrix product's rounding does).
     return (np.add.accumulate(terms, axis=1)[:, -1],
@@ -121,7 +125,7 @@ def _invariants(unit: np.ndarray):
 def _real_root_count(unit: np.ndarray) -> np.ndarray:
     """Distinct real roots of each column's quartic; -1 where unsure.
 
-    ``unit`` holds ``(5, m)`` ascending coefficients with magnitudes below 1.
+    ``unit`` holds ``(5, ...)`` ascending coefficients with magnitudes below 1.
     An invariant is sure when it exceeds ``_INVARIANT_REL`` times the sum of
     its terms' sizes.  With ``a = 0`` the root at infinity counts as real.
     """
@@ -137,7 +141,8 @@ def _real_root_count(unit: np.ndarray) -> np.ndarray:
     two = disc < -disc_err
     none = (disc > disc_err) & ((inv_p > bound_p) | (inv_d > bound_d))
     four = (disc > disc_err) & (inv_p < -bound_p) & (inv_d < -bound_d)
-    return np.where(two | none | four, 2 * two + 4 * four, -1)
+    # At most one of the three holds.
+    return 2 * two + 4 * four + (two | none | four) - 1
 
 
 def _largest_cubic_root(a, b):
@@ -146,15 +151,15 @@ def _largest_cubic_root(a, b):
     root = np.sqrt(np.abs(disc))
     # One real root (disc > 0), by Cardano; u = 0 only where a = b = 0.
     u = np.cbrt(b + np.copysign(root, b))
-    cardano = u + a / np.where(u == 0.0, 1.0, u)
+    cardano = u + a / (u + (u == 0.0))
     # Three: 2 sqrt(a) cos(phi / 3), where cos(phi) = b / a^1.5.
     trig = 2.0 * np.sqrt(np.abs(a)) * np.cos(np.arctan2(root, b) / 3.0)
     return np.where(disc > 0.0, cardano, trig)
 
 
 def _quadratic_roots(mid, c):
-    """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, stacked ``(2k, m)``
-    from ``(k, m)`` inputs."""
+    """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, stacked ``(2k, ...)``
+    from ``(k, ...)`` inputs."""
     disc = mid * mid - c
     root = np.sqrt(np.abs(disc))
     real = np.where(disc >= 0.0, root, 0.0)
@@ -163,7 +168,7 @@ def _quadratic_roots(mid, c):
 
 
 def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
-    """Kept real roots ``(degree, m)`` of the ``(degree + 1, m)`` columns."""
+    """Kept real roots ``(degree, ...)`` of ``(degree + 1, ...)`` columns."""
     monic = sub[:degree] / sub[degree]
     if degree == 3:
         # Cardano: t = w + shift gives w^3 + p w + q(shift); its largest real
@@ -191,11 +196,13 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
                                 p * (pp - 36.0 * r) + 13.5 * q * q)
         z = np.maximum((w - 2.0 * p) / 3.0, 0.0)
         s = np.sqrt(z)
-        half = np.array([[-0.5], [0.5]])
-        re, im = _quadratic_roots(half * s, 0.5 * (p + z)
-                                  + half * (q / np.where(s == 0.0, 1.0, s)))
+        # s >= 0, so s + (s == 0) is s with 0 replaced by 1.
+        half = np.array([-0.5, 0.5])
+        re, im = _quadratic_roots(
+            np.multiply.outer(half, s),
+            0.5 * (p + z) + np.multiply.outer(half, q / (s + (s == 0.0))))
     t = re + shift
-    t = np.where(im > _REALISH_REL * (1.0 + np.abs(t)), np.nan, t)
+    t[im > _REALISH_REL * (1.0 + np.abs(t))] = np.nan
     # Two Newton steps by Horner from the leading coefficient down; its first
     # step (slope 0, value lead) is folded in, exact wherever t is finite.
     # A step from a seed far off a tiny root can leave the float range: the
@@ -207,7 +214,8 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
             for c in rest:
                 slope = slope * t + value
                 value = value * t + c
-            step = value / np.where(slope == 0.0, np.inf, slope)
+            slope[slope == 0.0] = np.inf
+            step = value / slope
             t = t - step
         value = lead * t + first
         for c in rest:
@@ -216,7 +224,8 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
         kept = (np.isfinite(value)
                 & (np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
                 & (np.abs(step) <= _STEP_REL * growth))
-    return np.where(kept, t, np.nan)
+    t[~kept] = np.nan
+    return t
 
 
 def _horner(c, x: float) -> tuple[float, float]:
@@ -307,24 +316,30 @@ def _fallback_roots(row):
 
 
 def quartic_real_roots(coeffs):
-    """Distinct real roots of each ``(n, 5)`` ascending quartic row, certified.
+    """Distinct real roots of each ascending quartic row, certified.
 
-    Returns ``(roots, multiplicities, degree, certified)``: the first two are
-    ``(n, 4)``, each row sorted ascending and padded with NaN and 0.  Certified
-    rows have simple roots; the others, and all of degree below 3, are solved
-    from the signs at their critical points (a zero row raises
+    ``coeffs`` is one row ``(5,)`` or ``n`` rows ``(n, 5)``.  Returns
+    ``(roots, multiplicities, degree, certified)``: the first two are ``(4,)``
+    or ``(n, 4)``, each row sorted ascending and padded with NaN and 0, the
+    last two 0-d or ``(n,)``.  A row gets the same bits alone as in any batch.
+    Certified rows have simple roots; the others, and all of degree below 3,
+    are solved from the signs at their critical points (a zero row raises
     :class:`DegenerateInput`).  A leading coefficient at most ``1e-12`` times
     the row's largest counts as zero.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
-    roots = np.full((4, cols.shape[1]), np.nan)
+    roots = np.full((4, *cols.shape[1:]), np.nan)
     size = np.abs(cols)
     scale = size.max(axis=0)
     big = size[3:] > _TRIM_REL * scale
     degree = np.where(big[1], 4, 3 * big[0])
     for d in (4, 3):
-        idx = np.flatnonzero(degree == d)
-        if len(idx):
+        rows = degree == d
+        hits = np.count_nonzero(rows)
+        if hits == rows.size:
+            roots[:d] = _solve(cols[: d + 1], scale, d)
+        elif hits:
+            idx = np.flatnonzero(rows)
             roots[:d, idx] = _solve(cols[: d + 1, idx], scale[idx], d)
     roots = np.sort(roots, axis=0)
     close = roots[1:] - roots[:-1] <= _SEPARATION_REL * (
@@ -339,7 +354,8 @@ def quartic_real_roots(coeffs):
     roots = roots.T
     mults = (roots == roots).astype(np.int64)
     for i in np.flatnonzero(~certified):
-        found, found_mults, degree[i] = _fallback_roots(cols[:, i])
+        i = np.unravel_index(i, certified.shape)  # () for one row
+        found, found_mults, degree[i] = _fallback_roots(cols.T[i])
         roots[i] = (found + [np.nan] * 4)[:4]
         mults[i] = (found_mults + [0] * 4)[:4]
     return roots, mults, degree, certified
@@ -352,17 +368,16 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
     # dimension in [0.5, 1) the quartic can neither overflow nor vanish.
     dims = np.array([g.h1, g.h2, g.h3, g.l1, g.l2])
     dims = np.ldexp(dims, -np.frexp(dims.max())[1])
-    roots, mults, degree, _ = quartic_real_roots(
-        quartic_coefficients(*dims)[None, :])
-    real = mults[0] > 0
+    roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
+    real = mults > 0
     # The sweep takes the same arctangent, so both agree to the last bit.
-    loop1 = (2.0 * np.arctan(roots[0][real])).tolist()
-    mults = mults[0][real].tolist()
+    loop1 = (2.0 * np.arctan(roots[real])).tolist()
+    mults = mults[real].tolist()
     # t = tan(alpha/2) cannot reach alpha = pi, where the condition equals
     # the leading coefficient: each vanishing leading term is one root there.
-    if degree[0] < 4:
+    if degree < 4:
         loop1.append(math.pi)
-        mults.append(4 - int(degree[0]))
+        mults.append(4 - int(degree))
     loop2 = tuple(sorted(normalize_angle(-a) for a in loop1))
     alpha_sing = min((abs(a) for a in loop1), default=None)
     return SingularitySet(tuple(loop1), loop2, tuple(mults), alpha_sing)

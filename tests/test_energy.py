@@ -363,6 +363,36 @@ def test_home_curvature_matches_mpmath():
             mp_home_curvature(g, springs), rel=1e-12, abs=1e-14 * scale)
 
 
+def test_classify_home_stability_one_row_equals_the_batched_kernel():
+    # The scalar call runs its row unbatched, on numpy scalars, through the
+    # kernel that gives the sweep's winners their verdicts; a row's verdict
+    # and its evidence must be the bits of one array call on the batch.
+    from tenseg.energy import _STABILITY_CODES, _home_stability
+
+    rng = np.random.default_rng(127)
+    # The first design's h2 + 2 h3 is a float whose square pow(x, 2) rounds
+    # differently from x * x (glibc's libm): a scalar's ** 2 calls pow.
+    designs = [SegmentGeometry(h1=0.5, h2=1.1368784757753123, h3=0.0,
+                               l1=1.0, l2=0.7)]
+    designs += [random_geometry(rng) for _ in range(300)]
+    springs = [SpringParams.for_geometry(
+        g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
+        rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
+    rows = [np.array([getattr(obj, f) for obj in objs])
+            for objs, fields in ((designs, ("h1", "h2", "h3", "l1", "l2")),
+                                 (springs, ("l0", "k1", "k2")))
+            for f in fields]
+    _, curvature, codes, tau = _home_stability(*rows)
+    verdicts = [classify_home_stability(g, p)
+                for g, p in zip(designs, springs)]
+    assert [v.stability for v in verdicts] == [
+        _STABILITY_CODES[c] for c in codes]
+    assert {Stability.STABLE, Stability.UNSTABLE} <= {
+        v.stability for v in verdicts}
+    assert [v.curvature for v in verdicts] == curvature.tolist()
+    assert [v.threshold for v in verdicts] == tau.tolist()
+
+
 def test_neutral_design_on_the_stability_boundary():
     g = SegmentGeometry(h1=1.0, h2=1.0, h3=1.0, l1=1.0, l2=NEUTRAL_L2)
     verdict = classify_home_stability(g, SpringParams.for_geometry(g))

@@ -296,6 +296,25 @@ def test_stack_forward_orientation_normalized():
         assert -math.pi < frame.theta <= math.pi
 
 
+def test_stack_forward_composes_the_levels_plate_midpoints():
+    # Each origin adds the level's segment_points d0, rotated by the tilt
+    # below it, in floats; theta sums the tilts 2 * alpha.
+    rng = np.random.default_rng(131)
+    for _ in range(200):
+        config = tapered_stack(random_geometry(rng), rng.uniform(0.05, 1.0),
+                               [random_angle(rng) for _ in range(3)])
+        x = y = theta = 0.0
+        for g, state, frame in zip(config.segments, config.states,
+                                   stack_forward(config)):
+            dx, dy = segment_points(g, state).d0
+            c, s = math.cos(theta), math.sin(theta)
+            x, y = x + (c * dx - s * dy), y + (s * dx + c * dy)
+            theta = normalize_angle(theta + 2.0 * state.alpha)
+            assert np.all(np.abs(frame.origin - (x, y))
+                          <= np.spacing(np.abs([x, y])))
+            assert frame.theta == theta
+
+
 def test_stack_forward_composes_rigidly():
     # Independent composition with complex rotations.
     lam, alphas = 0.6, (0.25, -0.4, 0.55)

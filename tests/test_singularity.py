@@ -305,13 +305,17 @@ def test_kernel_rows_do_not_depend_on_the_batch():
     assert {3, 4} <= set(degree.tolist())
     assert not certified.all()
     for k, row in enumerate(coeffs):
-        for whole, alone in zip(invariants,
-                                singularity_module._invariants(unit[:, k:k + 1])):
+        for whole, alone, single in zip(
+                invariants, singularity_module._invariants(unit[:, k:k + 1]),
+                singularity_module._invariants(unit[:, k])):
             assert np.array_equal(whole[:, k], alone[:, 0])
-        one = quartic_real_roots(row[None, :])
-        assert one[3][0] == certified[k] and one[2][0] == degree[k]
-        assert np.array_equal(one[0][0], roots[k], equal_nan=True)
-        assert np.array_equal(one[1][0], mults[k])
+            assert np.array_equal(whole[:, k], single)
+        # A batch of one, and the unbatched (5,) row singular_angles passes.
+        for one in ([v[0] for v in quartic_real_roots(row[None, :])],
+                    quartic_real_roots(row)):
+            assert one[3] == certified[k] and one[2] == degree[k]
+            assert np.array_equal(one[0], roots[k], equal_nan=True)
+            assert np.array_equal(one[1], mults[k])
 
 
 def test_default_grid_falls_back_only_on_its_triple_roots():
@@ -345,6 +349,24 @@ def test_certified_roots_match_oracle_across_magnitudes():
         assert len(mine) == len(oracle), (row, mine, oracle)
         assert np.all(np.abs(mine - oracle) <= 1e-13 * (1.0 + np.abs(oracle))), (
             row, mine, oracle)
+
+
+def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
+    # singular_angles runs its row unbatched; on the log-uniform designs
+    # above (some of them uncertified) it must give the bits of a batch of
+    # one, from the same power-of-two scaled dimensions.
+    rng = np.random.default_rng(1)
+    dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))
+    for row in dims:
+        unit = np.ldexp(row, -np.frexp(row.max())[1])
+        roots, mults, degree, _ = (v[0] for v in quartic_real_roots(
+            quartic_coefficients(*unit)[None, :]))
+        at_pi = [math.pi] * int(degree < 4)
+        found = singular_angles(SegmentGeometry(*row))
+        assert found.loop1 == tuple(
+            (2.0 * np.arctan(roots[mults > 0])).tolist() + at_pi)
+        assert found.multiplicities == tuple(
+            mults[mults > 0].tolist() + [4 - int(degree)] * len(at_pi))
 
 
 def oracle_roots(g):
