@@ -121,7 +121,8 @@ def rest_length(g: SegmentGeometry, fraction: float) -> float:
 
 def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
     rho1, rho2 = _cable_lengths_raw(h1, h2, h3, l1, l2, alpha)
-    return 0.5 * (k1 * (rho1 - l0) ** 2 + k2 * (rho2 - l0) ** 2)
+    # np.square, not ** 2: on a numpy scalar ** 2 calls pow, another rounding.
+    return 0.5 * (k1 * np.square(rho1 - l0) + k2 * np.square(rho2 - l0))
 
 
 def energy(g: SegmentGeometry, springs: SpringParams, alpha):

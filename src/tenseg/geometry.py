@@ -212,27 +212,29 @@ def cable_lengths(g: SegmentGeometry, alpha):
     return _cable_lengths_raw(g.h1, g.h2, g.h3, g.l1, g.l2, alpha)
 
 
+def _condition_terms(h1, h2, h3, l1, l2):
+    """``(A, B, C, D)`` of the loop-1 singularity condition ``A sin a +
+    B cos a + C cos 2a + D sin 2a``, from float or array dimensions."""
+    return (-2.0 * h2 * (h1 + h3), -2.0 * h2 * (l1 + l2),
+            -4.0 * (h3 * l1 + h1 * l2), 4.0 * (l1 * l2 - h1 * h3))
+
+
 def singularity_condition(g: SegmentGeometry, alpha):
-    """Derivative of the squared length of cable 1 with respect to ``alpha``.
+    """Derivative of the squared length of cable 1 with respect to ``alpha``:
+    ``A sin a + B cos a + C cos 2a + D sin 2a`` (:func:`_condition_terms`).
 
     The mechanism is singular where this vanishes: the cable can no longer
     control the joint to first order.  By mirror symmetry the corresponding
     condition for cable 2 is this expression evaluated at ``-alpha``.  Accepts
-    scalar or ndarray ``alpha``.
+    scalar or ndarray ``alpha``.  At an angle ``singular_angles`` returns it
+    is rounding alone, at most ``8 eps (|A| + |B| + |C| + |D|)``, plus
+    ``|C - B|`` where the kernel drops that leading coefficient of its
+    quartic (at most 1e-12 of the largest) and returns ``pi``.
     """
-    h1, h2, h3, l1, l2 = g.h1, g.h2, g.h3, g.l1, g.l2
-    s, c = np.sin(alpha), np.cos(alpha)
-    s2, c2, s3, c3 = s * s, c * c, s * s * s, c * c * c
-    return (
-        -8.0 * h3 * h3 * c3 * s + 8.0 * h3 * h3 * c * s
-        - 8.0 * l2 * l2 * c3 * s + 8.0 * l2 * l2 * c * s
-        - 4.0 * h3 * s * c2 * h2 - 4.0 * h3 * s3 * h2
-        - 4.0 * h3 * c2 * l1 + 4.0 * h3 * s2 * l1
-        - 4.0 * l2 * c2 * h1 + 4.0 * l2 * s2 * h1
-        - 8.0 * h3 * h3 * s3 * c - 2.0 * h2 * c * l2 - 2.0 * h2 * c * l1
-        + 8.0 * l2 * c * l1 * s - 8.0 * l2 * l2 * s3 * c
-        - 8.0 * h3 * c * h1 * s - 2.0 * h2 * s * h1 + 2.0 * h2 * s * h3
-    )
+    a, b, c, d = _condition_terms(g.h1, g.h2, g.h3, g.l1, g.l2)
+    two_a = 2.0 * np.asarray(alpha)
+    return (a * np.sin(alpha) + b * np.cos(alpha) + c * np.cos(two_a)
+            + d * np.sin(two_a))
 
 
 def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:

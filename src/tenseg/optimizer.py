@@ -26,11 +26,12 @@ kernel.  The second keeps, per taper, the designs at the best score (the tie
 set; 4,462 of the 198,000 feasible default designs, exactly the cap region
 ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates their energy in one call
 and classifies only the winners.  No score depends on the other rows of its
-chunk, so the reports do not depend on the chunk size.  The singular angles,
-the energy integral and the home curvature come from the same batched
-kernels as the scalar API (:mod:`tenseg.singularity`, :mod:`tenseg.energy`),
-whose rows do not depend on the other rows of a call, so the sweep's
-energies and curvatures equal the scalar calls' bit for bit.
+chunk, so the reports do not depend on the chunk size.  The energy integral,
+the home curvature and non-flat rows' singular angles come from the scalar
+API's batched kernels (:mod:`tenseg.singularity`, :mod:`tenseg.energy`),
+whose rows do not depend on the other rows of a call, so they equal the
+scalar calls' bit for bit; a flat row's arcsin closed form can differ from
+:func:`singular_angles` by rounding, most where the arcsin is steep.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ import numpy as np
 from .energy import (_STABILITY_CODES, Stability, _check_springs,
                      _energy_integral, _energy_raw, _home_stability)
 from .geometry import _cable_lengths_raw
-from .singularity import (_SIGN_REL, _horner, quartic_coefficients,
-                          quartic_real_roots)
+from .singularity import _sign, quartic_coefficients, quartic_real_roots
 
 _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
@@ -212,13 +212,12 @@ def _capped(nearest: np.ndarray) -> np.ndarray:
 def _pruned(coeffs: np.ndarray, bar: np.ndarray):
     """Mask of the ``(n, 5)`` loop-1 quartics certainly singular below
     ``bar``, and ``b``, just below ``min(bar, pi/2 - 2 _SNAP)``.  A feasible
-    row has ``q(0) = B + C < 0``, so ``q > 0`` beyond Horner's rounding bound
-    at ``t = tan(b/2)`` or ``-tan(b/2)`` puts a singular angle in ``(-b, b)``.
+    row has ``q(0) = B + C < 0``, so a certain sign ``q > 0`` at
+    ``t = tan(b/2)`` or ``-tan(b/2)`` puts a singular angle in ``(-b, b)``.
     """
     b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
     t = np.tan(0.5 * b)
-    (above, size), (below, _) = _horner(coeffs.T, t), _horner(coeffs.T, -t)
-    return np.maximum(above, below) > _SIGN_REL * 5 * size, b
+    return np.maximum(_sign(coeffs.T, t), _sign(coeffs.T, -t)) > 0.0, b
 
 
 def _scores(bounds: DesignBounds, start: int, stop: int) -> np.ndarray:

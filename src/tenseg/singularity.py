@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SegmentGeometry, normalize_angle
+from .geometry import SegmentGeometry, _condition_terms, normalize_angle
 
 # Leading coefficients at most _TRIM_REL times the row's largest count as
 # zero when fixing the degree.
@@ -82,15 +82,9 @@ class SingularitySet:
 
 
 def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
-    """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``.
-
-    ``A = -2 h2 (h1 + h3)``, ``B = -2 h2 (l1 + l2)``, ``C = -4 (h3 l1 +
-    h1 l2)``, ``D = 4 (l1 l2 - h1 h3)``; the dimensions are floats or arrays.
-    """
-    a = -2.0 * h2 * (h1 + h3)
-    b = -2.0 * h2 * (l1 + l2)
-    c = -4.0 * (h3 * l1 + h1 * l2)
-    d = 4.0 * (l1 * l2 - h1 * h3)
+    """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``, from
+    :func:`tenseg.geometry._condition_terms` of float or array dimensions."""
+    a, b, c, d = _condition_terms(h1, h2, h3, l1, l2)
     return np.array([b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d,
                      c - b]).T
 
@@ -237,12 +231,11 @@ def _horner(c, x: float) -> tuple[float, float]:
     return value, size
 
 
-def _sign(c, x: float) -> int:
-    """Sign of ``sum(c[k] x**k)``, or 0 where rounding could flip it."""
+def _sign(c, x):
+    """Sign of ``sum(c[k] x**k)``, elementwise, or 0 where rounding could
+    flip it."""
     value, size = _horner(c, x)
-    if abs(value) <= _SIGN_REL * len(c) * size:
-        return 0
-    return 1 if value > 0.0 else -1
+    return np.sign(value) * (abs(value) > _SIGN_REL * len(c) * size)
 
 
 def _bisect(c, lo: float, hi: float, sign_lo: int) -> float:
@@ -370,7 +363,8 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
     dims = np.ldexp(dims, -np.frexp(dims.max())[1])
     roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
     real = mults > 0
-    # The sweep takes the same arctangent, so both agree to the last bit.
+    # Off the flat face the sweep takes the same arctangent, so both agree to
+    # the last bit; flat rows take an arcsin closed form that rounds otherwise.
     loop1 = (2.0 * np.arctan(roots[real])).tolist()
     mults = mults[real].tolist()
     # t = tan(alpha/2) cannot reach alpha = pi, where the condition equals

@@ -9,8 +9,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from tenseg import SegmentGeometry, singularity_condition
+from tenseg import SegmentGeometry
+from tenseg.geometry import _condition_terms
 from tenseg.optimizer import _SNAP
+
+EPS = float(np.finfo(float).eps)
 
 # The all-ones segment: every spine link and half-width equal to 1.  Its
 # loop-1 singular angles have closed forms (see test_singularity).
@@ -49,6 +52,41 @@ def random_geometry(rng: np.random.Generator,
 def random_angle(rng: np.random.Generator) -> float:
     """One angle in the open interval (-pi, pi)."""
     return float(rng.uniform(-np.pi + 1e-6, np.pi - 1e-6))
+
+
+def singularity_condition(g: SegmentGeometry, alpha):
+    """The loop-1 singularity condition expanded into 18 trigonometric terms.
+
+    An oracle independent of the ``A, B, C, D`` form the library evaluates
+    and solves: the derivative of the squared length of cable 1, written out
+    term by term.  Some of its terms cancel only in exact arithmetic (the
+    ``h3**2`` and ``l2**2`` ones sum to zero), so its rounding grows with
+    ``h3**2 + l2**2`` rather than with ``A, B, C, D``.  Accepts scalar or
+    ndarray ``alpha``.
+    """
+    h1, h2, h3, l1, l2 = g.h1, g.h2, g.h3, g.l1, g.l2
+    s, c = np.sin(alpha), np.cos(alpha)
+    s2, c2, s3, c3 = s * s, c * c, s * s * s, c * c * c
+    return (
+        -8.0 * h3 * h3 * c3 * s + 8.0 * h3 * h3 * c * s
+        - 8.0 * l2 * l2 * c3 * s + 8.0 * l2 * l2 * c * s
+        - 4.0 * h3 * s * c2 * h2 - 4.0 * h3 * s3 * h2
+        - 4.0 * h3 * c2 * l1 + 4.0 * h3 * s2 * l1
+        - 4.0 * l2 * c2 * h1 + 4.0 * l2 * s2 * h1
+        - 8.0 * h3 * h3 * s3 * c - 2.0 * h2 * c * l2 - 2.0 * h2 * c * l1
+        + 8.0 * l2 * c * l1 * s - 8.0 * l2 * l2 * s3 * c
+        - 8.0 * h3 * c * h1 * s - 2.0 * h2 * s * h1 + 2.0 * h2 * s * h3
+    )
+
+
+def condition_bound(g: SegmentGeometry, found) -> float:
+    """The stated bound on ``|tenseg.singularity_condition(g, alpha)|`` at
+    the angles of ``found = singular_angles(g)``: ``8 eps (|A| + |B| + |C| +
+    |D|)``, plus ``|C - B|`` when ``pi`` is among them because the kernel
+    dropped that leading coefficient of the half-angle quartic as rounding."""
+    a, b, c, d = _condition_terms(g.h1, g.h2, g.h3, g.l1, g.l2)
+    dropped = abs(c - b) if math.pi in found.loop1 else 0.0
+    return 8.0 * EPS * (abs(a) + abs(b) + abs(c) + abs(d)) + dropped
 
 
 def scan_singularities(g, n: int = 1_000_000):

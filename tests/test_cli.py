@@ -18,7 +18,8 @@ from tenseg import (SegmentGeometry, SegmentState, SpringParams,
 from tenseg.cli import main
 from tenseg.singularity import SingularitySet
 
-from conftest import STABLE_FLAT, UNIT, UNSTABLE_TALL, read_table
+from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, condition_bound,
+                      read_table)
 
 UNIT_CONFIG = {"geometry": {"h1": 1, "h2": 1, "h3": 1, "l1": 1, "l2": 1}}
 
@@ -164,6 +165,21 @@ def test_singularities_match_goldens(tmp_path, name, fmt):
                  "--format", fmt, "--output", str(tmp_path)]) == 0
     written = (tmp_path / f"singularities.{fmt}").read_bytes()
     assert written == (GOLDEN / name / f"singularities.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", GOLDEN_DESIGNS)
+def test_golden_residuals_are_within_the_stated_bound(name, fmt):
+    # Each residual is |singularity_condition| at the row's angle, which is
+    # rounding alone: at most 8 eps (|A| + |B| + |C| + |D|).
+    config = json.loads((GOLDEN / name / "config.json").read_text())
+    g = SegmentGeometry(**config["geometry"])
+    bound = condition_bound(g, singular_angles(g))
+    table = read_table(GOLDEN / name / f"singularities.{fmt}")
+    residuals = [row[table["columns"].index("residual")]
+                 for row in table["rows"]]
+    assert residuals and all(0.0 <= r <= bound for r in residuals), (
+        residuals, bound)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

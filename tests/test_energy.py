@@ -129,12 +129,41 @@ def test_energy_nonnegative_everywhere():
         assert np.all(energy(g, springs, alphas) >= 0.0)
 
 
+# A design and angle whose energy pow(x, 2) rounds differently from x * x:
+# a scalar angle gives numpy scalars, whose ** 2 calls pow.
+POW_DESIGN = SegmentGeometry(
+    h1=0.10183871729616079, h2=1.5291552136318962, h3=0.6826034856236222,
+    l1=1.542611398106146, l2=0.3449371876893926)
+POW_ALPHA = -0.24771041329665677
+
+
 def test_energy_vectorized_matches_scalar():
-    springs = unit_springs()
-    alphas = np.linspace(-1.0, 1.0, 11)
-    values = energy(UNIT, springs, alphas)
-    for i, alpha in enumerate(alphas):
-        assert values[i] == energy(UNIT, springs, float(alpha))
+    for g, alphas in ((UNIT, np.linspace(-1.0, 1.0, 11)),
+                      (POW_DESIGN, np.array([POW_ALPHA, 0.0]))):
+        springs = SpringParams.for_geometry(g)
+        values = energy(g, springs, alphas)
+        for i, alpha in enumerate(alphas):
+            assert values[i] == energy(g, springs, float(alpha))
+    assert energy(POW_DESIGN, SpringParams.for_geometry(POW_DESIGN),
+                  POW_ALPHA) == 2.5576928194876887
+
+
+def test_energy_at_home_equals_the_stability_kernels():
+    # The CLI's energy_at_zero comes from energy(g, springs, 0.0), the
+    # sweep's from _home_stability: both must write the same bits.
+    from tenseg.energy import _home_stability
+
+    rng = np.random.default_rng(131)
+    designs = [random_geometry(rng) for _ in range(5000)]
+    springs = [SpringParams.for_geometry(
+        g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
+        rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
+    rows = [np.array([getattr(obj, f) for obj in objs])
+            for objs, fields in ((designs, ("h1", "h2", "h3", "l1", "l2")),
+                                 (springs, ("l0", "k1", "k2")))
+            for f in fields]
+    e0 = _home_stability(*rows)[0]
+    assert [energy(g, p, 0.0) for g, p in zip(designs, springs)] == e0.tolist()
 
 
 def test_first_cable_is_stationary_at_its_singular_angles():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (STABLE_FLAT, UNIT, cable_lengths_squared, random_angle,
-                      random_geometry)
+import conftest
+from conftest import (EPS, STABLE_FLAT, UNIT, cable_lengths_squared,
+                      random_angle, random_geometry)
 from tenseg import (InvalidGeometry, InvalidRatio, SegmentGeometry,
                     SegmentState, StackConfig, cable_lengths, normalize_angle,
                     segment_points, singularity_condition, stack_forward,
@@ -221,6 +222,30 @@ def test_condition_vectorized_matches_scalar():
     values = singularity_condition(UNIT, alphas)
     for i, alpha in enumerate(alphas):
         assert values[i] == singularity_condition(UNIT, float(alpha))
+
+
+positive = st.floats(1e-3, 1e3)
+
+
+@given(st.tuples(positive, positive, positive, positive, positive),
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_condition_agrees_with_the_expanded_oracle(dims, alphas):
+    # The oracle's terms have magnitudes summing to at most `size`; each
+    # takes under 10 roundings and their sum 17 more, so the oracle is good
+    # to 27 eps size, and the four-term form to 8 eps (|A|+|B|+|C|+|D|),
+    # which is below 8 eps size.
+    g = SegmentGeometry(*dims)
+    h1, h2, h3, l1, l2 = dims
+    size = (24.0 * (h3 * h3 + l2 * l2) + 10.0 * h2 * h3
+            + 8.0 * (h3 * l1 + h1 * l2 + l1 * l2 + h1 * h3)
+            + 2.0 * h2 * (h1 + l1 + l2))
+    tolerance = 35.0 * EPS * size
+    oracle = conftest.singularity_condition(g, np.array(alphas))
+    values = singularity_condition(g, np.array(alphas))
+    assert np.all(np.abs(values - oracle) <= tolerance)
+    for alpha, expected in zip(alphas, oracle):
+        assert abs(singularity_condition(g, alpha) - expected) <= tolerance
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT, oracle_real_roots, random_geometry
-from tenseg import DegenerateInput, SegmentGeometry, singularity_condition
+from conftest import (UNIT, oracle_real_roots, random_geometry,
+                      singularity_condition)
+from tenseg import DegenerateInput, SegmentGeometry
 from tenseg.singularity import (_cauchy_bound, quartic_coefficients,
                                 quartic_real_roots)
 

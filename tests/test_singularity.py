@@ -1,7 +1,9 @@
 """Tests for the singularity locus and the travel limit alpha_sing."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import (STABLE_FLAT, UNIT, cable_lengths_squared, random_geometry,
-                      scan_singularities)
+from conftest import (STABLE_FLAT, UNIT, cable_lengths_squared,
+                      condition_bound, random_geometry, scan_singularities,
+                      singularity_condition)
+import tenseg
 import tenseg.singularity as singularity_module
 from tenseg import (DesignBounds, SegmentGeometry, SingularitySet,
-                    normalize_angle, singular_angles, singularity_condition)
+                    normalize_angle, singular_angles)
 from tenseg.optimizer import _CHUNK
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
@@ -478,6 +482,42 @@ def near_degenerate_designs(draw):
 @settings(max_examples=60, deadline=None)
 def test_near_degenerate_designs_match_oracle(g):
     assert_matches_oracle(g)
+
+
+def assert_condition_within_bound(g):
+    found = singular_angles(g)
+    bound = condition_bound(g, found)
+    for sign, angles in ((1.0, found.loop1), (-1.0, found.loop2)):
+        for angle in angles:
+            value = tenseg.singularity_condition(g, sign * angle)
+            assert abs(value) <= bound, (g, angle, value / bound)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_condition_at_singular_angles_is_within_its_stated_bound():
+    # The four-term condition is rounding alone at every returned angle.
+    # The expanded oracle breaks the bound on these log-uniform designs:
+    # its h3**2 and l2**2 terms cancel only in exact arithmetic.
+    designs = [SegmentGeometry(**json.loads(
+        (path.parent / "config.json").read_text())["geometry"])
+        for path in sorted(GOLDEN.glob("*/singularities.csv"))]
+    rng = np.random.default_rng(97)
+    designs += [random_geometry(rng) for _ in range(1000)]
+    dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (1000, 5)))
+    designs += [SegmentGeometry(*row.tolist()) for row in dims]
+    for g in designs:
+        assert_condition_within_bound(g)
+
+
+@given(near_degenerate_designs())
+@example(SegmentGeometry(h1=1.0, h2=2.0000000000002, h3=1.0, l1=1.0, l2=0.7))
+@settings(max_examples=60, deadline=None)
+def test_condition_near_degenerate_designs_is_within_its_stated_bound(g):
+    # Near the half turn the kernel drops a leading coefficient C - B below
+    # 1e-12 of the largest and returns pi, where the condition is C - B.
+    assert_condition_within_bound(g)
 
 
 # ---------------------------------------------------------------------------
