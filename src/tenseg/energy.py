@@ -172,17 +172,19 @@ def _energy_rule() -> tuple[np.ndarray, np.ndarray]:
 def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
     """``E_t`` per row over ``[-alpha_sing, alpha_sing]``; 1-D arrays in.
 
+    Every row of a call shares the one range ``alpha_sing``, a float, so the
+    node angles are formed once per call and scale each row's sum alike.
     Rows are reduced one by one, not by a matrix product, so a row's value
     does not depend on the other rows of the call or on the blocking."""
     nodes, weights = _energy_rule()
-    columns = [np.asarray(v)[:, None]
-               for v in (h1, h2, h3, l1, l2, l0, alpha_sing)]
+    angles = alpha_sing * nodes
+    columns = [np.asarray(v)[:, None] for v in (h1, h2, h3, l1, l2, l0)]
     total = np.empty(len(columns[0]))
     for start in range(0, len(total), _GL_BLOCK):
-        *dims, alpha = (c[start:start + _GL_BLOCK] for c in columns)
-        values = _energy_raw(*dims, k1, k2, alpha * nodes)
+        values = _energy_raw(*(c[start:start + _GL_BLOCK] for c in columns),
+                             k1, k2, angles)
         total[start:start + _GL_BLOCK] = (
-            alpha[:, 0] * (values * weights).sum(axis=1))
+            alpha_sing * (values * weights).sum(axis=1))
     return total
 
 
@@ -238,7 +240,7 @@ def total_energy(g: SegmentGeometry, springs: SpringParams,
         raise ValueError(
             f"alpha_sing must be finite and >= 0, got {alpha_sing!r}")
     return float(_energy_integral(*_one_row(g, springs)[:, None], springs.k1,
-                                  springs.k2, np.array([float(alpha_sing)]))[0])
+                                  springs.k2, float(alpha_sing))[0])
 
 
 def classify_home_stability(g: SegmentGeometry,

@@ -25,13 +25,14 @@ unsolved (all 180,000 default ones), and only the rest reach the quartic
 kernel.  The second keeps, per taper, the designs at the best score (the tie
 set; 4,462 of the 198,000 feasible default designs, exactly the cap region
 ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates their energy in one call
-and classifies only the winners.  No score depends on the other rows of its
-chunk, so the reports do not depend on the chunk size.  The energy integral,
-the home curvature and non-flat rows' singular angles come from the scalar
-API's batched kernels (:mod:`tenseg.singularity`, :mod:`tenseg.energy`),
-whose rows do not depend on the other rows of a call, so they equal the
-scalar calls' bit for bit; a flat row's arcsin closed form can differ from
-:func:`singular_angles` by rounding, most where the arcsin is steep.
+per taper, over its peak, and classifies only the winners.  No score
+depends on the other rows of its chunk, so the reports do not depend on the
+chunk size.  The energy integral, the home curvature and non-flat rows'
+singular angles come from the scalar API's batched kernels
+(:mod:`tenseg.singularity`, :mod:`tenseg.energy`), whose rows do not depend
+on the other rows of a call, so they equal the scalar calls' bit for bit; a
+flat row's arcsin closed form can differ from :func:`singular_angles` by
+rounding, most where the arcsin is steep.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ _PI_2 = 0.5 * math.pi
 # exactly, so boundary designs compare equal in the per-taper tie-breaking.
 _SNAP = 1e-7
 # Designs per work chunk: bounds the kernels' temporaries, and so their share
-# of the sweep's peak memory, whatever the grid size.
-_CHUNK = 2048
+# of the sweep's peak memory, whatever the grid size.  4096 halves pass 1's
+# fixed cost (about 0.14 ms a chunk) against 2048 at the same peak RSS; one
+# chunk's temporaries peak at 0.7 MiB, 1.5 at 8192 and 2.9 at 16384.
+_CHUNK = 4096
 # Largest grid: the sweep holds an 8-byte score for every design at once, so
 # this caps that array at 800 MB, and is checked before it is allocated.
 _MAX_GRID_SIZE = 10**8
@@ -269,13 +272,18 @@ def optimize(bounds: DesignBounds | None = None,
     # view, and every taper shares the h2 axis, so each has a feasible peak.
     # Energy only breaks ties, so only the rows at their taper's peak need it.
     per_taper = score.reshape(bounds.lambda_res, -1)
-    ties = np.flatnonzero(per_taper == per_taper.max(axis=1)[:, None])
+    peak = per_taper.max(axis=1)
+    ties = np.flatnonzero(per_taper == peak[:, None])
     ilam, h1, h2, l1, lam = _grid_rows(bounds, ties)
     l2 = lam * l1
     alpha_sing = score[ties]
     k1, k2 = springs.k1, springs.k2
     l0 = springs.rest_fraction * _cable_lengths_raw(h1, h2, h1, l1, l2, 0.0)[0]
-    e_total = _energy_integral(h1, h2, h1, l1, l2, l0, k1, k2, alpha_sing)
+    # The ties are taper-major, so each taper's are one slice with one range.
+    slices = np.split(np.stack((h1, h2, h1, l1, l2, l0)), np.searchsorted(
+        ilam, np.arange(1, bounds.lambda_res)), axis=1)
+    e_total = np.concatenate([_energy_integral(*rows, k1, k2, top)
+                              for rows, top in zip(slices, peak.tolist())])
 
     # The first row per taper by (E_t, h1, h2, l1) wins.
     order = np.lexsort((l1, h2, h1, e_total, ilam))

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 
 from tenseg import SegmentGeometry
+from tenseg.energy import _energy_raw, _energy_rule
 from tenseg.geometry import _condition_terms
 from tenseg.optimizer import _SNAP
 
@@ -138,6 +139,22 @@ def cable_lengths_squared(g: SegmentGeometry, alpha):
     x2 = (-2.0 * g.h3 * c - g.h2) * s + 2.0 * g.l2 * c * c - g.l2 - g.l1
     y2 = 2.0 * g.h3 * c * c + (2.0 * g.l2 * s + g.h2) * c + g.h1 - g.h3
     return x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+
+
+def per_row_energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing):
+    """``E_t`` per row, each over its own ``[-alpha_sing, alpha_sing]``: the
+    library's rule with one range column per row, ``alpha[:, None] * nodes``,
+    in blocks of 128 rows.  The arithmetic the sweep's kernel ran before it
+    took one shared range per call, kept to pin that kernel bit for bit."""
+    nodes, weights = _energy_rule()
+    columns = [np.asarray(v)[:, None]
+               for v in (h1, h2, h3, l1, l2, l0, alpha_sing)]
+    total = np.empty(len(columns[0]))
+    for start in range(0, len(total), 128):
+        *dims, alpha = (c[start:start + 128] for c in columns)
+        values = _energy_raw(*dims, k1, k2, alpha * nodes)
+        total[start:start + 128] = alpha[:, 0] * (values * weights).sum(axis=1)
+    return total
 
 
 def capped_alpha_sing(nearest):

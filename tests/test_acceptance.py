@@ -263,16 +263,20 @@ def test_criterion_7_best_designs_have_clean_energy_wells(verdict,
 def test_criterion_8_sweep_output_is_worker_independent(verdict, tmp_path,
                                                         monkeypatch):
     """The full-resolution sweep writes byte-identical files whatever its
-    chunk size, here 2048 and 1001 (which does not divide a taper's 10,395
-    rows), and whatever ``--workers`` says (it is ignored)."""
+    chunk size, here the module's default (4096), 2048 and 1001 (which does
+    not divide a taper's 10,395 rows), and whatever ``--workers`` says (it
+    is ignored)."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
-    whole, odd = tmp_path / "chunk2048", tmp_path / "chunk1001"
-    monkeypatch.setattr(optimizer_module, "_CHUNK", 2048)
-    assert main(["optimize", "--output", str(whole)]) == 0
-    monkeypatch.setattr(optimizer_module, "_CHUNK", 1001)
-    assert main(["optimize", "--output", str(odd), "--workers", "2"]) == 0
+    default = tmp_path / "default"
+    assert main(["optimize", "--output", str(default)]) == 0
+    runs = {2048: [], 1001: ["--workers", "2"]}
+    for chunk, flags in runs.items():
+        monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
+        assert main(["optimize", "--output", str(tmp_path / f"chunk{chunk}")]
+                    + flags) == 0
     names = ("best.csv", "lambda_curve.csv", "energy_curve.csv")
-    different = [name for name in names
-                 if (whole / name).read_bytes() != (odd / name).read_bytes()]
+    different = [f"{name} at {chunk}" for chunk in runs for name in names
+                 if (default / name).read_bytes()
+                 != (tmp_path / f"chunk{chunk}" / name).read_bytes()]
     verdict(8, "sweep output is chunk-independent", not different,
             f"files differing between chunk sizes: {different}")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, capped_alpha_sing,
-                      random_geometry)
+                      per_row_energy_integral, random_geometry)
 from tenseg import (DesignBounds, InvalidFraction, NoSingularity,
                     SegmentGeometry, SingularitySet, SpringParams, Stability,
                     cable_lengths, classify_home_stability, energy,
@@ -311,22 +311,39 @@ def test_total_energy_linear_in_stiffness():
     assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
 
-def test_total_energy_one_row_equals_the_batched_kernel():
-    # The scalar call is one row of the kernel the sweep runs on whole
-    # chunks; a row's value must not depend on the rows around it.
-    from tenseg.energy import _energy_integral
-
-    rng = np.random.default_rng(107)
-    designs = [random_geometry(rng) for _ in range(300)]
+def random_energy_rows(seed, n):
+    """``(designs, springs, kernel columns)`` of ``n`` seeded random designs
+    with their default springs; the columns are ``h1, h2, h3, l1, l2, l0``."""
+    rng = np.random.default_rng(seed)
+    designs = [random_geometry(rng) for _ in range(n)]
     springs = [SpringParams.for_geometry(g) for g in designs]
-    alphas = [singular_angles(g).alpha_sing or 1.0 for g in designs]
     rows = [np.array([getattr(g, f) for g in designs])
             for f in ("h1", "h2", "h3", "l1", "l2")]
-    batched = _energy_integral(*rows, np.array([p.l0 for p in springs]),
-                               1.0, 1.0, np.array(alphas))
-    assert batched.tolist() == [
-        total_energy(g, p, alpha_sing=a)
-        for g, p, a in zip(designs, springs, alphas)]
+    return designs, springs, rows + [np.array([p.l0 for p in springs])]
+
+
+def test_total_energy_one_row_equals_the_batched_kernel():
+    # The scalar call is one row of the kernel the sweep runs on a taper's
+    # ties at once; a row's value must not depend on the rows around it.
+    from tenseg.energy import _energy_integral
+
+    designs, springs, rows = random_energy_rows(107, 300)
+    own = singular_angles(designs[0]).alpha_sing
+    for a in (0.1, 1.0, math.pi / 2, own):
+        batched = _energy_integral(*rows, 1.0, 1.0, a)
+        assert batched.tolist() == [total_energy(g, p, alpha_sing=a)
+                                    for g, p in zip(designs, springs)]
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, math.pi / 2, 1.2693])
+def test_shared_range_kernel_equals_the_per_row_range_oracle(a):
+    # Random designs with unequal springs, against the kernel that took one
+    # range per row (conftest.per_row_energy_integral).
+    from tenseg.energy import _energy_integral
+
+    _, _, rows = random_energy_rows(211, 1000)
+    expected = per_row_energy_integral(*rows, 2.0, 0.5, np.full(1000, a))
+    assert np.array_equal(_energy_integral(*rows, 2.0, 0.5, a), expected)
 
 
 def test_total_energy_accepts_precomputed_range():

@@ -15,7 +15,8 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     singular_angles, total_energy)
 from tenseg.optimizer import (DesignRecord, H2_RANGE, L1_RANGE,
                               LAMBDA_RANGE, _SNAP)
-from conftest import capped_alpha_sing, oracle_real_roots
+from conftest import (capped_alpha_sing, oracle_real_roots,
+                      per_row_energy_integral)
 from tenseg.singularity import quartic_coefficients, quartic_real_roots
 
 # ---------------------------------------------------------------------------
@@ -438,17 +439,19 @@ def test_refinement_never_loses_the_optimum():
 def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
                                                  chunk):
     # Chunk boundaries cut through tapers (90 designs each), but the tie set
-    # is the grid's: one energy integral over the rows at their taper's
-    # maximum score, and one stability call over the winners.
+    # is the grid's: one energy integral per taper, in taper order, over the
+    # rows at that taper's maximum score and with that score as its range,
+    # and one stability call over the winners.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = small_report.bounds
     calls = {"_energy_integral": [], "_home_stability": []}
     for name, rows in calls.items():
-        def counting_kernel(h1, h2, h3, l1, l2, *rest,
+        def counting_kernel(h1, h2, h3, l1, l2, l0, k1, k2, *rest,
                             kernel=getattr(optimizer_module, name), rows=rows):
-            rows.append(sorted(zip(h1.tolist(), h2.tolist(), l1.tolist(),
-                                   l2.tolist())))
-            return kernel(h1, h2, h3, l1, l2, *rest)
+            # rest is the energy integral's range; the stability has none.
+            rows.append((sorted(zip(h1.tolist(), h2.tolist(), l1.tolist(),
+                                    l2.tolist())), rest))
+            return kernel(h1, h2, h3, l1, l2, l0, k1, k2, *rest)
 
         monkeypatch.setattr(optimizer_module, name, counting_kernel)
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
@@ -466,12 +469,47 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     peaks = {}
     for i, score in scores.items():
         peaks[lam[i]] = max(peaks.get(lam[i], -math.inf), score)
-    expected = sorted((h1[i], h2[i], l1[i], l2[i])
-                      for i, score in scores.items() if score == peaks[lam[i]])
-    assert calls["_energy_integral"] == [expected]
+    ties = {}
+    for i, score in scores.items():
+        if score == peaks[lam[i]]:
+            ties.setdefault(lam[i], []).append((h1[i], h2[i], l1[i], l2[i]))
+    assert calls["_energy_integral"] == [
+        (sorted(ties[t]), (peaks[t],)) for t in bounds.lambda_axis()]
+    expected = sorted(row for rows in ties.values() for row in rows)
+    assert sorted(row for rows, _ in calls["_energy_integral"]
+                  for row in rows) == expected
     assert len(expected) < report.n_feasible
-    assert calls["_home_stability"] == [sorted(
-        (r.x[0], r.x[1], r.x[3], r.l2) for r in report.best)]
+    assert calls["_home_stability"] == [(sorted(
+        (r.x[0], r.x[1], r.x[3], r.l2) for r in report.best), ())]
+
+
+@pytest.mark.parametrize("resolutions, n_ties, ranges", [
+    ((11, 21, 45, 20), 4462, {1.5708}),  # the default grid, all at the cap
+    ((5, 6, 2, 4), 13, {1.5708, 1.2693}),  # lam = 1 peaks below it
+])
+def test_per_taper_integrals_equal_the_per_row_range_oracle(monkeypatch,
+                                                            resolutions,
+                                                            n_ties, ranges):
+    # Each taper's call shares its peak as the range; every tie row must
+    # come out as the kernel that took one range per row gave it.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    kernel = optimizer_module._energy_integral
+    seen = []
+
+    def recording_kernel(*args):
+        seen.append((args, kernel(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(optimizer_module, "_energy_integral",
+                        recording_kernel)
+    springs = SpringSpec(k1=2.0, k2=0.5)
+    optimize(bounds=DesignBounds(*resolutions), springs=springs)
+    assert len(seen) == resolutions[3]
+    assert sum(len(got) for _, got in seen) == n_ties
+    assert {round(args[-1], 4) for args, _ in seen} == ranges
+    for (*dims, k1, k2, a), got in seen:
+        assert np.array_equal(got, per_row_energy_integral(
+            *dims, k1, k2, np.full(len(got), a)))
 
 
 def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
