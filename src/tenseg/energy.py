@@ -33,6 +33,8 @@ from .singularity import singular_angles
 _GL_NODES = 128
 # Rows integrated at a time, so that the temporaries stay small and in cache.
 _GL_BLOCK = 128
+# Rounding slack of _energy_lower_bound's squared gap, per unit of a K.
+_LB_SLACK = 128.0 * np.finfo(float).eps
 # Home curvatures within this fraction of max(1, E(0)) count as Neutral.
 _TAU_REL = 1e-7
 
@@ -186,6 +188,25 @@ def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
         total[start:start + _GL_BLOCK] = (
             alpha_sing * (values * weights).sum(axis=1))
     return total
+
+
+def _rho1_square_integral(h1, h2, h3, l1, l2, a):
+    """``N``, the integral of ``rho1^2`` over ``[-a, a]``, and ``K``: ``rho1^2
+    = K + 2 h2 (h1+h3) cos x + 2 (h1 h3 - l1 l2) cos 2x`` plus odd terms."""
+    k = l1 * l1 + l2 * l2 + h1 * h1 + h2 * h2 + h3 * h3
+    return (2.0 * a * k + 4.0 * h2 * (h1 + h3) * np.sin(a)
+            + 2.0 * (h1 * h3 - l1 * l2) * np.sin(2.0 * a)), k
+
+
+def _energy_lower_bound(h1, h2, h3, l1, l2, l0, k1, k2, a):
+    """A lower bound on ``E_t`` per row over ``[-a, a]``, by the triangle
+    inequality in L2: ``E_t = (k1+k2)/2 ||rho1 - l0||^2`` by mirror symmetry,
+    and ``||rho1 - l0|| >= sqrt(N) - l0 sqrt(2a)``.  The terms of ``N`` sum
+    to at most ``8 a K`` in magnitude, so the squared gap's rounding is below
+    ``64 eps a K`` however far ``N`` cancels; ``_LB_SLACK`` takes twice that."""
+    n, k = _rho1_square_integral(h1, h2, h3, l1, l2, a)
+    gap = np.maximum(0.0, np.sqrt(np.maximum(n, 0.0)) - l0 * np.sqrt(2.0 * a))
+    return 0.5 * (k1 + k2) * (gap * gap - _LB_SLACK * a * k)
 
 
 def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):

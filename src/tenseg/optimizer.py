@@ -24,8 +24,11 @@ row whose quartic certainly changes sign inside the bar's angle is pruned
 unsolved (all 180,000 default ones), and only the rest reach the quartic
 kernel.  The second keeps, per taper, the designs at the best score (the tie
 set; 4,462 of the 198,000 feasible default designs, exactly the cap region
-``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``), integrates their energy in one call
-per taper, over its peak, and classifies only the winners.  No score
+``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's
+peak, only the ties that can still win (20 of the 4,462 default ones): the
+one of least lower bound on ``E_t``, a closed form (``_energy_lower_bound``),
+then those whose bound is at most its ``E_t`` times ``1 + _LB_MARGIN``.
+The rest keep ``E_t = inf``, and only the winners are classified.  No score
 depends on the other rows of its chunk, so the reports do not depend on the
 chunk size.  The energy integral, the home curvature and non-flat rows'
 singular angles come from the scalar API's batched kernels
@@ -43,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (_STABILITY_CODES, Stability, _check_springs,
-                     _energy_integral, _energy_raw, _home_stability)
+                     _energy_integral, _energy_lower_bound, _energy_raw,
+                     _home_stability)
 from .geometry import _cable_lengths_raw
 from .singularity import _sign, quartic_coefficients, quartic_real_roots
 
@@ -56,6 +60,10 @@ _SNAP = 1e-7
 # fixed cost (about 0.14 ms a chunk) against 2048 at the same peak RSS; one
 # chunk's temporaries peak at 0.7 MiB, 1.5 at 8192 and 2.9 at 16384.
 _CHUNK = 4096
+# Relative margin of the energy filter: a tie whose bound exceeds another's
+# integrated E_t by this much integrates above it (the bound is at most its
+# exact E_t, the kernel within 1e-12 of that), so it can neither win nor tie.
+_LB_MARGIN = 1e-9
 # Largest grid: the sweep holds an 8-byte score for every design at once, so
 # this caps that array at 800 MB, and is checked before it is allocated.
 _MAX_GRID_SIZE = 10**8
@@ -279,11 +287,18 @@ def optimize(bounds: DesignBounds | None = None,
     alpha_sing = score[ties]
     k1, k2 = springs.k1, springs.k2
     l0 = springs.rest_fraction * _cable_lengths_raw(h1, h2, h1, l1, l2, 0.0)[0]
-    # The ties are taper-major, so each taper's are one slice with one range.
-    slices = np.split(np.stack((h1, h2, h1, l1, l2, l0)), np.searchsorted(
-        ilam, np.arange(1, bounds.lambda_res)), axis=1)
-    e_total = np.concatenate([_energy_integral(*rows, k1, k2, top)
-                              for rows, top in zip(slices, peak.tolist())])
+    dims = np.stack((h1, h2, h1, l1, l2, l0))
+    bound = _energy_lower_bound(*dims, k1, k2, alpha_sing)
+    # Per taper (the ties are taper-major: one slice, one range), integrate
+    # the tie of least bound, then only those whose bound allows a lower E_t.
+    e_total = np.full(len(ties), np.inf)
+    for rows, top in zip(np.split(np.arange(len(ties)), np.searchsorted(
+            ilam, np.arange(1, bounds.lambda_res))), peak.tolist()):
+        first = rows[np.argmin(bound[rows])]
+        e_total[first] = _energy_integral(*dims[:, [first]], k1, k2, top)[0]
+        rows = rows[(bound[rows] <= e_total[first] * (1.0 + _LB_MARGIN))
+                    & (rows != first)]
+        e_total[rows] = _energy_integral(*dims[:, rows], k1, k2, top)
 
     # The first row per taper by (E_t, h1, h2, l1) wins.
     order = np.lexsort((l1, h2, h1, e_total, ilam))

@@ -204,11 +204,13 @@ OPTIMIZE_TABLES = ["best.json", "lambda_curve.json", "energy_curve.json"]
     ("ik", ["ik", "--format", "json"], ["ik.json"]),
     ("optimize", OPTIMIZE_JSON, OPTIMIZE_TABLES),
     ("optimize_survivors", OPTIMIZE_JSON, OPTIMIZE_TABLES),
+    ("optimize_loose", OPTIMIZE_JSON, OPTIMIZE_TABLES),
 ], ids=["pose-csv", "pose-json", "ik-csv", "ik-json", "optimize-json",
-        "optimize_survivors-json"])
+        "optimize_survivors-json", "optimize_loose-json"])
 def test_command_matches_goldens(tmp_path, name, argv, files):
-    # A stacked pose, cable lengths, a small sweep and a sweep whose lam = 1
-    # winner is a non-flat row solved by the quartic kernel, each in the
+    # A stacked pose, cable lengths, a small sweep, a sweep whose lam = 1
+    # winner is a non-flat row solved by the quartic kernel and one whose
+    # energy bound leaves more than the winners to integrate, each in the
     # directory ``name``; CI runs the same comparison.
     golden = GOLDEN / name
     assert main(argv + ["--config", str(golden / "config.json"),

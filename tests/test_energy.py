@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, capped_alpha_sing,
@@ -14,7 +14,8 @@ from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, capped_alpha_sing,
 from tenseg import (DesignBounds, InvalidFraction, NoSingularity,
                     SegmentGeometry, SingularitySet, SpringParams, Stability,
                     cable_lengths, classify_home_stability, energy,
-                    energy_profile, rest_length, singular_angles, total_energy)
+                    energy_profile, rest_length, singular_angles,
+                    tapered_stack, total_energy)
 
 # Platform half-width tuned (to machine precision) so the home-pose energy
 # curvature of (h1=1, h2=1, h3=1, l1=1, l2=*) vanishes: the neutral boundary
@@ -346,6 +347,54 @@ def test_shared_range_kernel_equals_the_per_row_range_oracle(a):
     assert np.array_equal(_energy_integral(*rows, 2.0, 0.5, a), expected)
 
 
+def test_rho1_square_integral_matches_mpmath():
+    # Random designs with unequal end links (h1 != h3), half of them over
+    # ranges down to 1e-6 rad, where N(a) = 2 a rho1(0)^2 + O(a^3).
+    from tenseg.energy import _rho1_square_integral
+
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        g = random_geometry(rng, flat_probability=0.0)
+        assert g.h1 != g.h3
+        a = (1.0 - float(rng.uniform()) if i % 2
+             else 10.0 ** float(rng.uniform(-6.0, 0.0))) * (math.pi / 2)
+        rho = mp_cable1(g)
+        with mpmath.workdps(30):
+            exact = mpmath.quad(lambda t: rho(t) ** 2, [-a, 0, a])
+        assert _rho1_square_integral(g.h1, g.h2, g.h3, g.l1, g.l2, a)[0] == (
+            pytest.approx(float(exact), rel=1e-13))
+
+
+# Lengths from 1e-9 up, so that a cable can nearly vanish at home.
+_TINY_OR_BOX = st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 1.0))
+
+
+@given(h1=st.one_of(st.just(0.0), _TINY_OR_BOX),
+       h2=st.one_of(_TINY_OR_BOX, st.floats(1.0, 2.0)),
+       l1=st.floats(0.01, 4.45),
+       lam=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       fraction=st.one_of(st.floats(0.01, 0.999), st.just(0.999)),
+       k1=st.floats(0.1, 10.0), k2=st.floats(0.1, 10.0),
+       a=st.one_of(st.floats(1e-6, 1e-2), st.floats(1e-2, math.pi / 2),
+                   st.just(math.pi / 2)))
+@example(h1=2.0259092444604472e-05, h2=7.667530602028884e-07,
+         l1=3.7934146170950327, lam=0.871290691147509, fraction=0.999,
+         k1=9.759959590529965, k2=3.751872110013119,
+         a=1.1932253580125642e-06)  # 2.4e-11 above without the slack
+@settings(max_examples=300, deadline=None)
+def test_energy_lower_bound_is_below_the_integral(h1, h2, l1, lam, fraction,
+                                                  k1, k2, a):
+    # Over the sweep's box, with rest lengths near the home length, unequal
+    # springs and short ranges, where the bound is tight and N(a) cancels.
+    from tenseg.energy import _energy_lower_bound
+
+    g = design(h1, h2, l1, lam)
+    springs = SpringParams.for_geometry(g, k1, k2, fraction)
+    row = (g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0, k1, k2, a)
+    assert _energy_lower_bound(*row) <= (
+        total_energy(g, springs, alpha_sing=a) * (1.0 + 1e-11))
+
+
 def test_total_energy_accepts_precomputed_range():
     springs = unit_springs()
     assert total_energy(UNIT, springs, alpha_sing=math.pi / 4) == pytest.approx(
@@ -488,6 +537,25 @@ def test_energy_scales_with_square_of_uniform_scaling():
         assert big.stability is base.stability
         assert big.curvature == pytest.approx(100.0 * base.curvature,
                                               rel=1e-12)
+
+
+def test_stack_levels_share_the_singular_angles_and_scale_the_energy():
+    # Level i of a tapered stack is its base scaled by lam**i, so the stack
+    # needs no analysis of its own: every level has the base's singular
+    # angles, and E_t scales by lam**(2 i).
+    rng = np.random.default_rng(37)
+    for lam in (0.05, 0.4, 0.83, 1.0):
+        base = random_geometry(rng, flat_probability=0.0)
+        levels = tapered_stack(base, lam, (0.0, 0.0, 0.0)).segments
+        found = singular_angles(base)
+        e_t = total_energy(base, SpringParams.for_geometry(base, 2.0, 0.5))
+        for i, g in enumerate(levels):
+            level = singular_angles(g)
+            assert level.alpha_sing == pytest.approx(found.alpha_sing,
+                                                     rel=1e-12)
+            assert level.loop1 == pytest.approx(found.loop1, rel=1e-12)
+            assert total_energy(g, SpringParams.for_geometry(g, 2.0, 0.5)) == (
+                pytest.approx(lam ** (2 * i) * e_t, rel=1e-12))
 
 
 @given(st.floats(0.05, 0.95))

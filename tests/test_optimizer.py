@@ -13,6 +13,7 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     SpringParams, SpringSpec, Stability,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
+from tenseg.energy import _energy_lower_bound
 from tenseg.optimizer import (DesignRecord, H2_RANGE, L1_RANGE,
                               LAMBDA_RANGE, _SNAP)
 from conftest import (capped_alpha_sing, oracle_real_roots,
@@ -439,9 +440,10 @@ def test_refinement_never_loses_the_optimum():
 def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
                                                  chunk):
     # Chunk boundaries cut through tapers (90 designs each), but the tie set
-    # is the grid's: one energy integral per taper, in taper order, over the
-    # rows at that taper's maximum score and with that score as its range,
-    # and one stability call over the winners.
+    # is the grid's: each energy integral takes ties of one taper, in taper
+    # order, with that taper's peak as its range.  Every winner is among
+    # them, every tie left out has a lower bound above its taper's winning
+    # E_t, and one stability call takes the winners.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = small_report.bounds
     calls = {"_energy_integral": [], "_home_stability": []}
@@ -472,15 +474,31 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     ties = {}
     for i, score in scores.items():
         if score == peaks[lam[i]]:
-            ties.setdefault(lam[i], []).append((h1[i], h2[i], l1[i], l2[i]))
-    assert calls["_energy_integral"] == [
-        (sorted(ties[t]), (peaks[t],)) for t in bounds.lambda_axis()]
-    expected = sorted(row for rows in ties.values() for row in rows)
-    assert sorted(row for rows, _ in calls["_energy_integral"]
-                  for row in rows) == expected
-    assert len(expected) < report.n_feasible
-    assert calls["_home_stability"] == [(sorted(
-        (r.x[0], r.x[1], r.x[3], r.l2) for r in report.best), ())]
+            ties.setdefault(float(lam[i]), []).append(
+                (float(h1[i]), float(h2[i]), float(l1[i]), float(l2[i])))
+    taper_of = {row: t for t, rows in ties.items() for row in rows}
+    order = []
+    for rows, (top,) in calls["_energy_integral"]:
+        tapers = {taper_of[row] for row in rows}  # a KeyError: not a tie
+        assert len(tapers) <= 1 and all(peaks[t] == top for t in tapers)
+        order += [taper_of[row] for row in rows]
+    assert order == sorted(order)
+    integrated = {row for rows, _ in calls["_energy_integral"] for row in rows}
+    assert len(integrated) == len(order)
+    winners = {(r.x[0], r.x[1], r.x[3], r.l2) for r in report.best}
+    assert winners <= integrated
+    left_out = set(taper_of) - integrated
+    assert left_out  # this grid's bound leaves ties unintegrated
+    k1, k2, fraction = (report.springs.k1, report.springs.k2,
+                        report.springs.rest_fraction)
+    winning = {r.lam: r.total_energy for r in report.best}
+    for h1, h2, l1, l2 in left_out:
+        t = taper_of[(h1, h2, l1, l2)]
+        g = SegmentGeometry(h1, h2, h1, l1, l2)
+        l0 = SpringParams.for_geometry(g, k1, k2, fraction).l0
+        assert _energy_lower_bound(h1, h2, h1, l1, l2, l0, k1, k2,
+                                   peaks[t]) > winning[t]
+    assert calls["_home_stability"] == [(sorted(winners), ())]
 
 
 @pytest.mark.parametrize("resolutions, n_ties, ranges", [
@@ -490,22 +508,31 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
 def test_per_taper_integrals_equal_the_per_row_range_oracle(monkeypatch,
                                                             resolutions,
                                                             n_ties, ranges):
-    # Each taper's call shares its peak as the range; every tie row must
-    # come out as the kernel that took one range per row gave it.
+    # The bound sees every tie; each taper's calls share its peak as the
+    # range, and every row they integrate, each once, must come out as the
+    # kernel that took one range per row gave it.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     kernel = optimizer_module._energy_integral
-    seen = []
+    bound = optimizer_module._energy_lower_bound
+    seen, bounded = [], []
 
     def recording_kernel(*args):
         seen.append((args, kernel(*args)))
         return seen[-1][1]
 
+    def recording_bound(*args):
+        bounded.append(len(args[0]))
+        return bound(*args)
+
     monkeypatch.setattr(optimizer_module, "_energy_integral",
                         recording_kernel)
+    monkeypatch.setattr(optimizer_module, "_energy_lower_bound",
+                        recording_bound)
     springs = SpringSpec(k1=2.0, k2=0.5)
     optimize(bounds=DesignBounds(*resolutions), springs=springs)
-    assert len(seen) == resolutions[3]
-    assert sum(len(got) for _, got in seen) == n_ties
+    assert bounded == [n_ties]
+    rows = [row for args, _ in seen for row in zip(*args[:6])]
+    assert resolutions[3] <= len(rows) == len(set(rows)) < n_ties
     assert {round(args[-1], 4) for args, _ in seen} == ranges
     for (*dims, k1, k2, a), got in seen:
         assert np.array_equal(got, per_row_energy_integral(
@@ -517,10 +544,14 @@ def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
     # Energies grow with the design's scale, so on these grids the tie of
     # least energy is also the smallest design; only a reversed energy order
     # shows that the energy, not the design vector, picks among the ties.
+    # The kernel returns 1 / E_t, and the bound is that same value per row,
+    # so the filter still sees the order it prunes by.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     kernel = optimizer_module._energy_integral
     monkeypatch.setattr(optimizer_module, "_energy_integral",
-                        lambda *args: -kernel(*args))
+                        lambda *args: 1.0 / kernel(*args))
+    monkeypatch.setattr(optimizer_module, "_energy_lower_bound",
+                        lambda *args: 1.0 / per_row_energy_integral(*args))
     bounds = small_report.bounds
     report = optimize(bounds=bounds, springs=small_report.springs)
     score = optimizer_module._scores(bounds, 0, bounds.grid_size)
@@ -532,3 +563,132 @@ def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
         assert record.x == max(ties, key=lambda r: r.total_energy).x
     assert any(record.x != usual.x
                for record, usual in zip(report.best, small_report.best))
+
+
+# ---------------------------------------------------------------------------
+# energy filter: only ties whose lower bound can still win are integrated
+
+
+def integrate_counted(monkeypatch, bounds, springs, unfiltered=False):
+    """``optimize``'s report and the number of rows it integrated; with
+    ``unfiltered`` the bound is 0, so that every tie is integrated."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    kernel = optimizer_module._energy_integral
+    rows = []
+
+    def counting_kernel(*args):
+        rows.append(len(args[0]))
+        return kernel(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer_module, "_energy_integral", counting_kernel)
+        if unfiltered:
+            patch.setattr(optimizer_module, "_energy_lower_bound",
+                          lambda *args: np.zeros(len(args[0])))
+        return optimize(bounds=bounds, springs=springs), sum(rows)
+
+
+SPRING_SETS = [SpringSpec(1.0, 1.0, 0.4), SpringSpec(2.0, 0.5, 0.9),
+               SpringSpec(0.3, 3.0, 0.999)]
+# Every grid the tests and goldens sweep, and the default one.
+TEST_GRIDS = [(3, 5, 6, 4), (3, 4, 5, 3), (4, 6, 5, 3), (5, 6, 2, 4),
+              (3, 3, 3, 4), (5, 5, 9, 7), (4, 5, 6, 3), (5, 11, 9, 5),
+              (11, 21, 45, 20)]
+
+
+@pytest.mark.parametrize("springs", SPRING_SETS,
+                         ids=["f0.4", "f0.9-k2-0.5", "f0.999-k0.3-3"])
+@pytest.mark.parametrize("resolutions", TEST_GRIDS)
+def test_filtered_sweep_equals_the_unfiltered_one(monkeypatch, resolutions,
+                                                  springs):
+    bounds = DesignBounds(*resolutions)
+    report, integrated = integrate_counted(monkeypatch, bounds, springs)
+    brute, n_ties = integrate_counted(monkeypatch, bounds, springs, True)
+    assert report == brute
+    assert bounds.lambda_res <= integrated <= n_ties
+
+
+@pytest.mark.parametrize("resolutions", [(3, 5, 6, 4), (11, 21, 45, 20)])
+def test_a_winner_integrated_after_the_first_tie_still_wins(monkeypatch,
+                                                            resolutions):
+    # On every test grid the tie of least bound is also the winner (the
+    # smallest design), so the second call per taper only adds losers.  Here
+    # the energies (all below 11) are squeezed into (1, 1.0001) in their
+    # order, and the bound is the squeezed energy of a seeded fraction in
+    # [0.5, 1] of each E_t: still a lower bound, but one that ranks the ties
+    # otherwise and lies within 1e-5 of every E_t, so the winners come from
+    # the second call.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    kernel = optimizer_module._energy_integral
+
+    def squeeze(e_total):
+        return 1.0 + 1e-6 * e_total
+
+    monkeypatch.setattr(optimizer_module, "_energy_integral",
+                        lambda *args: squeeze(kernel(*args)))
+    bounds, springs = DesignBounds(*resolutions), SpringSpec(2.0, 0.5, 0.9)
+    brute = integrate_counted(monkeypatch, bounds, springs, True)[0]
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(optimizer_module, "_energy_lower_bound",
+                        lambda *args: squeeze(rng.uniform(0.5, 1.0, len(
+                            args[0])) * per_row_energy_integral(*args)))
+    calls = []
+
+    def recording_kernel(*args):
+        calls.append(args)
+        return squeeze(kernel(*args))
+
+    monkeypatch.setattr(optimizer_module, "_energy_integral",
+                        recording_kernel)
+    report = optimize(bounds=bounds, springs=springs)
+    assert report == brute
+    firsts = [(args[0][0], args[1][0], args[3][0]) for args in calls[0::2]]
+    assert any(first != (r.x[0], r.x[1], r.x[3])
+               for first, r in zip(firsts, report.best, strict=True))
+
+
+@pytest.mark.parametrize("springs, integrated", [
+    (SpringSpec(1.0, 1.0, 0.4), 20), (SpringSpec(2.0, 0.5, 0.9), 102)])
+def test_default_grid_integrates_few_of_its_4462_ties(monkeypatch, springs,
+                                                      integrated):
+    assert integrate_counted(monkeypatch, DesignBounds(), springs)[1] == (
+        integrated)
+
+
+@pytest.fixture(scope="module")
+def default_ties():
+    """The arguments of the sweep's bound call on the default grid: every
+    one of its 4,462 ties, each with its range."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    calls = []
+
+    def recording_bound(*args):
+        calls.append(args)
+        return _energy_lower_bound(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer_module, "_energy_lower_bound", recording_bound)
+        optimize()
+    (args,) = calls
+    assert len(args[0]) == 4462
+    return args
+
+
+def bound_over_energy(bound, args):
+    """``bound(*args)`` over each tie's integrated E_t, after asserting that
+    no tie's bound exceeds it."""
+    *dims, k1, k2, a = args
+    ratio = bound(*args) / per_row_energy_integral(*dims, k1, k2, a)
+    assert (ratio <= 1.0).all(), ratio.max()
+    return ratio
+
+
+def test_bound_is_below_every_default_tie_energy(default_ties):
+    # Tight on some rows (0.9996), so that an unsound bound would show.
+    assert bound_over_energy(_energy_lower_bound, default_ties).max() > 0.999
+
+
+def test_an_inflated_bound_fails_the_soundness_check(default_ties):
+    with pytest.raises(AssertionError):
+        bound_over_energy(lambda *args: 1.01 * _energy_lower_bound(*args),
+                          default_ties)
