@@ -18,13 +18,15 @@ spring energy ``E_t`` and then lexicographically smaller design vector —
 fully deterministic, and independent of how the sweep is chunked.
 
 The sweep runs in two passes, in one process.  The first scores every design
-in fixed-size chunks of array arithmetic into one array of the whole grid.
-Flat rows take a closed form; each taper's best one sets a bar, a non-flat
-row whose quartic certainly changes sign inside the bar's angle is pruned
-unsolved (all 180,000 default ones), and only the rest reach the quartic
-kernel.  The second keeps, per taper, the designs at the best score (the tie
-set; 4,462 of the 198,000 feasible default designs, exactly the cap region
-``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's
+into one array of the whole grid.  Flat rows take a closed form from their
+axes, and each taper's best one sets a bar.  Where that is the pi/2 cap, an
+exact bound from the axes puts a singular angle of every non-flat row inside
+it, with no quartic formed (:func:`_certified`; all 180,000 default rows).
+Other tapers go in chunks: a non-flat row whose quartic certainly changes
+sign inside the bar's angle is pruned unsolved, and only the rest reach the
+quartic kernel.  The second keeps, per taper, the designs at the best score
+(the tie set; 4,462 of the 198,000 feasible default designs, exactly the cap
+region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's
 peak, only the ties that can still win (20 of the 4,462 default ones): the
 one of least lower bound on ``E_t``, a closed form (``_energy_lower_bound``),
 then those whose bound is at most its ``E_t`` times ``1 + _LB_MARGIN``.
@@ -55,10 +57,9 @@ _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
 # exactly, so boundary designs compare equal in the per-taper tie-breaking.
 _SNAP = 1e-7
-# Designs per work chunk: bounds the kernels' temporaries, and so their share
-# of the sweep's peak memory, whatever the grid size.  4096 halves pass 1's
-# fixed cost (about 0.14 ms a chunk) against 2048 at the same peak RSS; one
-# chunk's temporaries peak at 0.7 MiB, 1.5 at 8192 and 2.9 at 16384.
+# Designs per chunk of the tapers scored row by row: bounds the kernels'
+# temporaries, and so their share of the sweep's peak memory, whatever the
+# grid size; one chunk's temporaries peak at 0.7 MiB, 1.5 at 8192.
 _CHUNK = 4096
 # Relative margin of the energy filter: a tie whose bound exceeds another's
 # integrated E_t by this much integrates above it (the bound is at most its
@@ -206,13 +207,12 @@ def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
     return nearest
 
 
-def _grid_rows(bounds: DesignBounds, index):
+def _grid_rows(axes, index):
     """``(ilam, h1, h2, l1, lam)`` of the grid's flat indices ``index``, in
-    taper-major order (``lam`` outermost, then ``h1``, ``h2``, ``l1``)."""
-    ilam, ih1, ih2, il1 = np.unravel_index(
-        index, (bounds.lambda_res, bounds.h1_res, bounds.h2_res, bounds.l1_res))
-    return (ilam, bounds.h1_axis()[ih1], bounds.h2_axis()[ih2],
-            bounds.l1_axis()[il1], bounds.lambda_axis()[ilam])
+    taper-major order: ``axes`` is ``(lam, h1, h2, l1)``, outermost first."""
+    at = np.unravel_index(index, tuple(map(len, axes)))
+    lam, h1, h2, l1 = (axis[i] for axis, i in zip(axes, at))
+    return at[0], h1, h2, l1, lam
 
 
 def _capped(nearest: np.ndarray) -> np.ndarray:
@@ -220,39 +220,97 @@ def _capped(nearest: np.ndarray) -> np.ndarray:
     return np.where(nearest >= _PI_2 - _SNAP, _PI_2, nearest)
 
 
-def _pruned(coeffs: np.ndarray, bar: np.ndarray):
-    """Mask of the ``(n, 5)`` loop-1 quartics certainly singular below
-    ``bar``, and ``b``, just below ``min(bar, pi/2 - 2 _SNAP)``.  A feasible
-    row has ``q(0) = B + C < 0``, so a certain sign ``q > 0`` at
-    ``t = tan(b/2)`` or ``-tan(b/2)`` puts a singular angle in ``(-b, b)``.
+def _pruned(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the ``(n, 5)`` loop-1 quartics certainly singular inside
+    ``(-b, b)``.  A feasible row has ``q(0) = B + C < 0``, so a certain sign
+    ``q > 0`` at ``t = tan(b/2)`` or ``-tan(b/2)`` puts a root there.
     """
-    b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
     t = np.tan(0.5 * b)
-    return np.maximum(_sign(coeffs.T, t), _sign(coeffs.T, -t)) > 0.0, b
+    return np.maximum(_sign(coeffs.T, t), _sign(coeffs.T, -t)) > 0.0
 
 
-def _scores(bounds: DesignBounds, start: int, stop: int) -> np.ndarray:
-    """Scores of the flat indices ``[start, stop)`` of the grid; ``-inf``
-    where ``h2 = 0`` (no middle link, infeasible).
-
-    Each taper's bar is the capped score of its flat row at the largest
-    ``h2`` and the smallest ``l1`` sample, the best of its flat rows.  A
-    non-flat row that :func:`_pruned` settles below the bar scores ``b``:
-    not an ``alpha_sing`` but a bound on it, below its taper's peak.  Only
-    the other rows are solved, each to its capped ``alpha_sing``.
-    """
-    ilam, h1, h2, l1, lam = _grid_rows(bounds, np.arange(start, stop))
-    taper = bounds.lambda_axis()
-    zero, low = 0.0 * taper, np.full_like(taper, bounds.l1_axis().min())
-    bar = _capped(_nearest_singularity_block(
-        zero, zero + bounds.h2_axis().max(), zero, low, taper * low))
-    pruned, b = _pruned(quartic_coefficients(h1, h2, h1, l1, lam * l1),
-                        bar[ilam])
+def _scores(axes, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Scores of the grid's flat indices ``index``, row by row; ``-inf``
+    where ``h2 = 0`` (no middle link, infeasible).  A non-flat row that
+    :func:`_pruned` settles inside its taper's ``(-b, b)`` scores ``b``, a
+    bound on its ``alpha_sing`` below the taper's peak; only the other rows
+    are solved, each to its capped ``alpha_sing``."""
+    ilam, h1, h2, l1, lam = _grid_rows(axes, index)
+    b = b[ilam]
+    pruned = _pruned(quartic_coefficients(h1, h2, h1, l1, lam * l1), b)
     pruned &= (h1 > 0.0) & (h2 > 0.0)
     score = np.where(pruned, b, -np.inf)
     solve = (h2 > 0.0) & ~pruned
     h1, h2, l1, lam = (v[solve] for v in (h1, h2, l1, lam))
     score[solve] = _capped(_nearest_singularity_block(h1, h2, h1, l1, lam * l1))
+    return score
+
+
+def _certified(axes, bar: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per taper, whether every feasible non-flat row is singular inside
+    ``(-b, 0)``, decided in exact arithmetic from the extreme float samples
+    of the box's axes.
+
+    With ``h3 = h1 = h`` and ``delta = pi/2 - b``, the loop-1 condition at
+    ``-b`` is ``4h (h2 cos delta + (l1 + l2) cos 2 delta) - 2 h2 (l1 + l2)
+    sin delta - 4 (l1 l2 - h^2) sin 2 delta``, at least the same with
+    ``2 delta (h2 (l1 + l2) + 4 l1 l2)`` subtracted instead.  For ``0 <
+    delta < pi/4`` both parts grow with ``h``, ``h2``, ``l1`` and the row's
+    ``l2 = lam * l1`` (rounding is monotone), so the first at the smallest
+    positive samples, less the second at the largest, bounds every row of
+    the taper from below.  Where that is positive, ``q(0) = B + C < 0`` puts
+    a root in ``(-b, 0)``.
+    """
+    lam, h1, h2, l1 = axes
+    capped = bar == _PI_2
+    if not (capped.any() and (h1 >= 0.0).all()):  # every row flat or h1 > 0
+        return np.zeros_like(capped)
+
+    def exact(x):
+        # x * 2**1074, an integer for every float.  Plain integers, because
+        # importing fractions alone adds 0.3 MB and 3 ms to a sweep.
+        n, d = float(x).as_integer_ratio()
+        return n * (2**1074 // d)
+
+    one, h, h2lo, h2hi, l1lo, l1hi = map(exact, (
+        1.0, h1[h1 > 0.0].min(), h2[h2 > 0.0].min(), h2.max(), l1.min(),
+        l1.max()))
+    # Both sides times 2 one^4: delta from above, through the float above pi
+    # (the bound falls as delta grows), and cos delta, cos 2 delta from below
+    # by 1 - x^2/2.
+    delta = (exact(math.nextafter(math.pi, math.inf) / 2)
+             - exact(b[capped].min()))
+    cos1, cos2 = 2 * one**2 - delta**2, 2 * one**2 - 4 * delta**2
+    for i in np.flatnonzero(capped):
+        l2lo, l2hi = (exact(lam[i] * v) for v in (l1.min(), l1.max()))
+        capped[i] = (4 * h * (h2lo * cos1 + (l1lo + l2lo) * cos2)
+                     > 4 * one * delta * (h2hi * (l1hi + l2hi)
+                                          + 4 * l1hi * l2hi))
+    return capped
+
+
+def _score_grid(axes) -> np.ndarray:
+    """Pass 1: every design's score, in taper-major order.  A taper's bar is
+    the capped score of its best flat row (the largest ``h2``, the smallest
+    ``l1``), and ``b`` lies just below ``min(bar, pi/2 - 2 _SNAP)``.  The
+    non-flat rows of a :func:`_certified` taper score ``b``; the other
+    tapers go through :func:`_scores` in chunks of ``_CHUNK``."""
+    lam, h1, h2, l1 = axes
+    grid = np.empty(tuple(map(len, axes)))
+    f_lam, f_h2, f_l1 = np.broadcast_arrays(lam[:, None, None], h2[:, None], l1)
+    face = _capped(_nearest_singularity_block(0.0 * f_h2, f_h2, 0.0 * f_h2,
+                                              f_l1, f_lam * f_l1))
+    bar = face[:, h2.argmax(), l1.argmin()]
+    b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
+    certified = _certified(axes, bar, b)
+    grid[:, h1 == 0.0] = np.where(h2[:, None] > 0.0, face, -np.inf)[:, None]
+    grid[np.ix_(certified, h1 > 0.0)] = np.where(
+        h2[:, None] > 0.0, b[certified, None, None, None], -np.inf)
+    score, per = grid.reshape(-1), grid[0].size
+    rows = (np.flatnonzero(~certified)[:, None] * per + np.arange(per)).ravel()
+    for start in range(0, len(rows), _CHUNK):
+        index = rows[start:start + _CHUNK]
+        score[index] = _scores(axes, b, index)
     return score
 
 
@@ -265,12 +323,10 @@ def optimize(bounds: DesignBounds | None = None,
     bounds = bounds or DesignBounds()
     springs = springs or SpringSpec()
 
-    # Pass 1: score the whole grid, one chunk's temporaries alive at a time.
-    total = bounds.grid_size
-    score = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        score[start:stop] = _scores(bounds, start, stop)
+    # The axes are built once per call, so a changed axis reaches every pass.
+    axes = (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
+            bounds.l1_axis())
+    score = _score_grid(axes)
 
     n_feasible = int(np.count_nonzero(score > -np.inf))
     if n_feasible == 0:
@@ -282,7 +338,7 @@ def optimize(bounds: DesignBounds | None = None,
     per_taper = score.reshape(bounds.lambda_res, -1)
     peak = per_taper.max(axis=1)
     ties = np.flatnonzero(per_taper == peak[:, None])
-    ilam, h1, h2, l1, lam = _grid_rows(bounds, ties)
+    ilam, h1, h2, l1, lam = _grid_rows(axes, ties)
     l2 = lam * l1
     alpha_sing = score[ties]
     k1, k2 = springs.k1, springs.k2
@@ -326,6 +382,6 @@ def optimize(bounds: DesignBounds | None = None,
         lambda_curve=tuple((r.lam, r.x[3], r.l2) for r in records),
         energy_curve=tuple((r.lam, r.total_energy) for r in records),
         max_alpha_sing=max(r.alpha_sing for r in records),
-        n_designs=total,
+        n_designs=score.size,
         n_feasible=n_feasible,
     )

@@ -263,13 +263,17 @@ def test_criterion_7_best_designs_have_clean_energy_wells(verdict,
 def test_criterion_8_sweep_output_is_worker_independent(verdict, tmp_path,
                                                         monkeypatch):
     """The full-resolution sweep writes byte-identical files whatever its
-    chunk size, here the module's default (4096), 2048 and 1001 (which does
-    not divide a taper's 10,395 rows), and whatever ``--workers`` says (it
-    is ignored)."""
+    chunk size, and whatever ``--workers`` says (it is ignored).  On this
+    grid the axis certificate settles every taper and no chunk runs, so the
+    other runs refuse it, and score every row in chunks of the module's
+    default (4096), 2048 and 1001 (which does not divide a taper's 10,395
+    rows)."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
     default = tmp_path / "default"
     assert main(["optimize", "--output", str(default)]) == 0
-    runs = {2048: [], 1001: ["--workers", "2"]}
+    monkeypatch.setattr(optimizer_module, "_certified",
+                        lambda axes, bar, b: np.zeros(len(bar), dtype=bool))
+    runs = {optimizer_module._CHUNK: [], 2048: [], 1001: ["--workers", "2"]}
     for chunk, flags in runs.items():
         monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
         assert main(["optimize", "--output", str(tmp_path / f"chunk{chunk}")]

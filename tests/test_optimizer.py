@@ -14,7 +14,8 @@ from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
                     classify_home_stability, energy, optimize,
                     singular_angles, total_energy)
 from tenseg.energy import _energy_lower_bound
-from tenseg.optimizer import (DesignRecord, H2_RANGE, L1_RANGE,
+from tenseg.geometry import _condition_terms
+from tenseg.optimizer import (DesignRecord, H1_RANGE, H2_RANGE, L1_RANGE,
                               LAMBDA_RANGE, _SNAP)
 from conftest import (capped_alpha_sing, oracle_real_roots,
                       per_row_energy_integral)
@@ -205,6 +206,49 @@ def test_chunk_evaluation_matches_reference():
         assert record.stability is reference.stability
 
 
+def grid_axes(bounds: DesignBounds):
+    """The sweep's axes, outermost first: ``(lam, h1, h2, l1)``."""
+    return (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
+            bounds.l1_axis())
+
+
+def refuse_certificate(patch):
+    """Make the axis certificate refuse every taper, so that pass 1 scores
+    the whole grid row by row through ``_scores``."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    patch.setattr(optimizer_module, "_certified",
+                  lambda axes, bar, b: np.zeros(len(bar), dtype=bool))
+
+
+def pass1_scores(bounds: DesignBounds) -> np.ndarray:
+    """The sweep's pass-1 score array of the grid, as ``optimize`` forms it."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    return optimizer_module._score_grid(grid_axes(bounds))
+
+
+def rowwise_scores(bounds: DesignBounds, chunk=None) -> np.ndarray:
+    """Pass 1 with the certificate refused: the concatenated ``_scores`` of
+    the grid's consecutive chunks of ``chunk`` rows (``_CHUNK`` if None),
+    after asserting that those calls took every row once, in order."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    scores, calls = optimizer_module._scores, []
+
+    def recording_scores(axes, b, index):
+        calls.append(index)
+        return scores(axes, b, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_certificate(patch)
+        patch.setattr(optimizer_module, "_scores", recording_scores)
+        if chunk is not None:
+            patch.setattr(optimizer_module, "_CHUNK", chunk)
+        score = pass1_scores(bounds)
+        chunk = optimizer_module._CHUNK
+    assert np.array_equal(np.concatenate(calls), np.arange(bounds.grid_size))
+    assert all(len(index) == chunk for index in calls[:-1])
+    return score
+
+
 def closed_form_cap_region(bounds: DesignBounds) -> set[int]:
     """Flat indices of the designs with ``h1 = 0`` and
     ``h2/l1 >= 4 lam/(1 + lam)``, decided exactly on the values the grid's
@@ -234,15 +278,13 @@ def test_cap_set_is_the_closed_form_region(resolutions, size):
     # A flat design (h1 = h3 = 0) is singular at arcsin(h2 (1 + lam) /
     # (4 lam l1)), so it reaches the pi/2 cap exactly when that ratio is at
     # least 1; a design with h1 > 0 has a singularity inside (-pi/2, 0).
-    optimizer_module = importlib.import_module("tenseg.optimizer")
+    # Both ways of scoring pass 1 must find it: with the axis certificate,
+    # and row by row with the certificate refused.
     bounds = DesignBounds(*resolutions)
-    total, chunk = bounds.grid_size, optimizer_module._CHUNK
-    score = np.concatenate([
-        optimizer_module._scores(bounds, start, min(start + chunk, total))
-        for start in range(0, total, chunk)])
-    cap = set(np.flatnonzero(score == math.pi / 2).tolist())
-    assert cap == closed_form_cap_region(bounds)
-    assert len(cap) == size
+    for score in (pass1_scores(bounds), rowwise_scores(bounds)):
+        cap = set(np.flatnonzero(score == math.pi / 2).tolist())
+        assert cap == closed_form_cap_region(bounds)
+        assert len(cap) == size
 
 
 def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
@@ -278,13 +320,12 @@ def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
 # pruning against each taper's flat bar
 
 
-def unpruned_scores(bounds, start, stop) -> np.ndarray:
+def unpruned_scores(axes, b, index) -> np.ndarray:
     """``_scores`` without pruning: the capped ``alpha_sing`` of every
-    feasible row of ``[start, stop)``, each solved."""
+    feasible row of ``index``, each solved."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
-    _, h1, h2, l1, lam = optimizer_module._grid_rows(
-        bounds, np.arange(start, stop))
-    score = np.full(stop - start, -np.inf)
+    _, h1, h2, l1, lam = optimizer_module._grid_rows(axes, index)
+    score = np.full(len(index), -np.inf)
     feasible = h2 > 0.0
     h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
     nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1,
@@ -296,9 +337,12 @@ def unpruned_scores(bounds, start, stop) -> np.ndarray:
 def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
     # On this grid, with two l1 samples, three non-flat rows are not settled
     # by their taper's bar, and one of them wins lam = 1.  Every other sweep
-    # test's grid leaves the kernel nothing to solve.
+    # test's grid leaves the kernel nothing to solve.  The axis certificate
+    # settles the three tapers capped at pi/2, so the sweep mixes both
+    # paths; with it refused, every taper goes row by row.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = DesignBounds(5, 6, 2, 4)
+    assert certificate_calls(bounds)[1].tolist() == [True, True, True, False]
     solved = []
 
     def counting_kernel(coeffs):
@@ -309,48 +353,192 @@ def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
                         counting_kernel)
     report = optimize(bounds=bounds)
     assert solved == [3]
+    with monkeypatch.context() as patch:
+        refuse_certificate(patch)
+        assert optimize(bounds=bounds) == report
+    assert solved == [3, 3]
     winner = report.best[-1]
     assert winner.lam == 1.0 and winner.x[0] == 0.25
     assert winner.alpha_sing == pytest.approx(1.2693, abs=1e-4)
 
     # The brute force scores every feasible row through the kernel, then
     # takes the same cap, tie set and tie-break.
+    refuse_certificate(monkeypatch)
     monkeypatch.setattr(optimizer_module, "_scores", unpruned_scores)
     brute = optimize(bounds=bounds)
-    assert solved[1:] == [4 * 5 * 2 * 4]  # h1 > 0, h2 > 0, every l1 and lam
+    assert solved[2:] == [4 * 5 * 2 * 4]  # h1 > 0, h2 > 0, every l1 and lam
     assert report == brute
 
 
 @pytest.mark.parametrize("resolutions", [
     (5, 6, 2, 4), (3, 3, 2, 5), (6, 11, 2, 10), (4, 5, 6, 3)])
 def test_pruned_rows_score_below_their_taper_peak(resolutions):
-    optimizer_module = importlib.import_module("tenseg.optimizer")
+    # Rows settled by the axis certificate and rows pruned one by one (the
+    # certificate refused) alike.
     bounds = DesignBounds(*resolutions)
     shape = (bounds.lambda_res, -1)
-    score = optimizer_module._scores(bounds, 0, bounds.grid_size).reshape(shape)
-    exact = unpruned_scores(bounds, 0, bounds.grid_size).reshape(shape)
-    assert np.array_equal(score.max(axis=1), exact.max(axis=1))
+    axes = grid_axes(bounds)
+    exact = unpruned_scores(axes, None, np.arange(bounds.grid_size))
+    exact = exact.reshape(shape)
     peak = np.broadcast_to(exact.max(axis=1)[:, None], exact.shape)
-    pruned = score != exact
-    assert pruned.any()
-    # A pruned row keeps a finite score below its taper's peak, so it counts
-    # as feasible and joins no tie set; solved, it scores below the peak too.
-    assert (np.isfinite(score[pruned]) & (score[pruned] < peak[pruned])
-            & (exact[pruned] < peak[pruned])).all()
+    for score in (pass1_scores(bounds), rowwise_scores(bounds)):
+        score = score.reshape(shape)
+        assert np.array_equal(score.max(axis=1), exact.max(axis=1))
+        pruned = score != exact
+        assert pruned.any()
+        # A pruned row keeps a finite score below its taper's peak, so it
+        # counts as feasible and joins no tie set; solved, it scores below
+        # the peak too.
+        assert (np.isfinite(score[pruned]) & (score[pruned] < peak[pruned])
+                & (exact[pruned] < peak[pruned])).all()
 
 
 def test_default_grid_solves_no_row(monkeypatch):
-    # Every one of the 180,000 feasible non-flat rows is pruned against its
-    # taper's flat bar, and the 18,000 flat ones take the closed form.
+    # Every one of the 180,000 feasible non-flat rows is settled unsolved,
+    # and the 18,000 flat ones take the closed form.  The axis certificate
+    # forms no quartic at all; with it refused, the per-row prune forms one
+    # for every row and settles each non-flat one against its taper's bar.
     optimizer_module = importlib.import_module("tenseg.optimizer")
+    formed = []
 
     def no_kernel(coeffs):
         raise AssertionError(f"{len(coeffs)} rows reached the kernel")
 
+    def counting_coefficients(h1, *rest):
+        formed.append(int(np.count_nonzero(h1)))
+        return quartic_coefficients(h1, *rest)
+
     monkeypatch.setattr(optimizer_module, "quartic_real_roots", no_kernel)
+    monkeypatch.setattr(optimizer_module, "quartic_coefficients",
+                        counting_coefficients)
     report = optimize()
+    assert formed == []
+    refuse_certificate(monkeypatch)
+    assert optimize() == report
+    assert sum(formed) == 10 * 21 * 45 * 20
     assert (report.n_designs, report.n_feasible) == (207_900, 198_000)
     assert all(r.alpha_sing == math.pi / 2 for r in report.best)
+
+
+# ---------------------------------------------------------------------------
+# the axis certificate: capped tapers settled from the extremes of their axes
+
+
+# Every grid the tests and goldens sweep (TEST_GRIDS, the cap-region and
+# pruning tests' and the CLI's), and two larger ones.
+PASS1_GRIDS = [(3, 5, 6, 4), (3, 4, 5, 3), (4, 6, 5, 3), (5, 6, 2, 4),
+               (3, 3, 3, 4), (5, 5, 9, 7), (4, 5, 6, 3), (5, 11, 9, 5),
+               (11, 21, 45, 20), (3, 5, 9, 4), (4, 9, 18, 7), (3, 3, 2, 5),
+               (6, 11, 2, 10), (2, 3, 4, 3), (2, 3, 3, 2), (2, 2, 2, 2),
+               (6, 11, 23, 10), (21, 41, 90, 27)]
+
+
+def certificate_calls(bounds: DesignBounds):
+    """The ``(axes, bar, b)`` that pass 1 hands the certificate, and what
+    it answers."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    certify, calls = optimizer_module._certified, []
+
+    def recording_certificate(*args):
+        calls.append((args, certify(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer_module, "_certified", recording_certificate)
+        pass1_scores(bounds)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("resolutions", PASS1_GRIDS)
+def test_axis_bound_holds_exactly_on_every_capped_taper(resolutions):
+    # Recomputed here in exact arithmetic from the rows' own values: the
+    # loop-1 condition at -b is at least 4 h (h2 cos d + (l1 + l2) cos 2d)
+    # - 2 d (h2 (l1 + l2) + 4 l1 l2), d = pi/2 - b, with the positive part
+    # at the smallest positive samples and the rest at the largest.  Every
+    # taper capped at pi/2 passes, by a wide margin (510 at least on these
+    # grids), and no other is tried.
+    bounds = DesignBounds(*resolutions)
+    (axes, bar, b), certified = certificate_calls(bounds)
+    assert certified.tolist() == (bar == math.pi / 2).tolist()
+    lam = axes[0]
+    _, rows_h1, rows_h2, rows_l1, rows_lam = importlib.import_module(
+        "tenseg.optimizer")._grid_rows(axes, np.arange(bounds.grid_size))
+    rows_l2 = rows_lam * rows_l1
+    A, B, C, D = _condition_terms(rows_h1, rows_h2, rows_h1, rows_l1, rows_l2)
+    half_pi = Fraction(math.nextafter(math.pi, math.inf)) / 2
+    for i in np.flatnonzero(certified):
+        d = half_pi - Fraction(b[i])
+        assert 0 < d < 1e-6
+        row = (rows_lam == lam[i]) & (rows_h1 > 0.0) & (rows_h2 > 0.0)
+        h, h2lo, h2hi = (Fraction(v) for v in (
+            rows_h1[row].min(), rows_h2[row].min(), rows_h2[row].max()))
+        l1lo, l1hi, l2lo, l2hi = (Fraction(f(v[row])) for v in (
+            rows_l1, rows_l2) for f in (np.min, np.max))
+        left = 4 * h * (h2lo * (1 - d**2 / 2) + (l1lo + l2lo) * (1 - 2 * d**2))
+        right = 2 * d * (h2hi * (l1hi + l2hi) + 4 * l1hi * l2hi)
+        assert left > 100 * right  # 2,062 at least on the default grid
+        # No row of the taper falls below the bound: the condition at -b,
+        # in floats, clears it by far more than its rounding.
+        a = -b[i]
+        cond = (A[row] * math.sin(a) + B[row] * math.cos(a)
+                + C[row] * math.cos(2 * a) + D[row] * math.sin(2 * a))
+        assert (cond >= float(left - right)).all()
+
+
+def test_certificate_refuses_a_tiny_h1_sample(monkeypatch):
+    # With h1 = 1e-9 the condition at -b is about -2 d (h2 (l1 + l2) + ...),
+    # negative: some rows are singular only near -pi/2, score the cap and
+    # join the tie set.  The certificate must refuse every taper and leave
+    # the grid to the row-by-row prune and kernel, which then agree with
+    # the sweep that solves every row.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = DesignBounds(3, 5, 6, 4)
+    assert certificate_calls(bounds)[1].all()
+    usual = pass1_scores(bounds), optimize(bounds=bounds)
+
+    def h1_axis(self):
+        axis = np.linspace(H1_RANGE[0], H1_RANGE[1], self.h1_res)
+        axis[1] = 1e-9
+        return axis
+
+    monkeypatch.setattr(optimizer_module.DesignBounds, "h1_axis", h1_axis)
+    assert not certificate_calls(bounds)[1].any()
+    solved = []
+
+    def counting_kernel(coeffs):
+        solved.append(len(coeffs))
+        return quartic_real_roots(coeffs)
+
+    monkeypatch.setattr(optimizer_module, "quartic_real_roots",
+                        counting_kernel)
+    score = pass1_scores(bounds)
+    assert sum(solved) > 0 and (score == math.pi / 2).sum() > len(
+        closed_form_cap_region(bounds))
+    assert np.array_equal(score, rowwise_scores(bounds))
+    report = optimize(bounds=bounds)
+    with monkeypatch.context() as patch:
+        refuse_certificate(patch)
+        assert optimize(bounds=bounds) == report
+        patch.setattr(optimizer_module, "_scores", unpruned_scores)
+        assert optimize(bounds=bounds) == report
+    # Each call builds its axes afresh: nothing of the patch outlives it.
+    monkeypatch.undo()
+    assert not np.array_equal(score, usual[0])
+    assert np.array_equal(pass1_scores(bounds), usual[0])
+    assert optimize(bounds=bounds) == usual[1]
+
+
+@pytest.mark.parametrize("resolutions", PASS1_GRIDS)
+def test_pass1_scores_equal_the_rowwise_scores(resolutions):
+    # Bit for bit, in chunks of every size the sweep tests use: each capped
+    # taper's non-flat rows are settled by the per-row prune too, at the
+    # same b, and the flat face takes the same closed form.
+    bounds = DesignBounds(*resolutions)
+    score = pass1_scores(bounds).view(np.int64)
+    for chunk in (4096, 2048, 1001):
+        rowwise = rowwise_scores(bounds, chunk).view(np.int64)
+        assert np.array_equal(score, rowwise)
 
 
 @given(st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 100.0),
@@ -362,9 +550,11 @@ def test_default_grid_solves_no_row(monkeypatch):
 @example((0.25, 2.0, 0.25, 1.125, 1.125), 1.26)  # not pruned
 @settings(max_examples=300, deadline=None)
 def test_prune_certificate_is_sound(dims, b):
+    # The sweep prunes just below its bar b.
     optimizer_module = importlib.import_module("tenseg.optimizer")
-    pruned, _ = optimizer_module._pruned(quartic_coefficients(*dims)[None, :],
-                                         np.array([b]))
+    pruned = optimizer_module._pruned(
+        quartic_coefficients(*dims)[None, :],
+        np.array([b * (1.0 - 4.0 * np.finfo(float).eps)]))
     if pruned[0]:
         assert singular_angles(SegmentGeometry(*dims)).alpha_sing < b
 
@@ -457,6 +647,7 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
 
         monkeypatch.setattr(optimizer_module, name, counting_kernel)
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)
+    refuse_certificate(monkeypatch)  # so that pass 1 runs in these chunks
     report = optimize(bounds=bounds, springs=small_report.springs)
     assert report == small_report
 
@@ -554,7 +745,7 @@ def test_total_energy_breaks_ties_before_the_design_vector(monkeypatch,
                         lambda *args: 1.0 / per_row_energy_integral(*args))
     bounds = small_report.bounds
     report = optimize(bounds=bounds, springs=small_report.springs)
-    score = optimizer_module._scores(bounds, 0, bounds.grid_size)
+    score = pass1_scores(bounds)
     points = list(enumerate_grid(bounds))
     for record, usual in zip(report.best, small_report.best, strict=True):
         ties = [evaluate_design(p, small_report.springs)
