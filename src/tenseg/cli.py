@@ -5,9 +5,8 @@ Subcommands
 pose            forward kinematics: the seven segment points per requested angle,
                 optionally with the three stacked-plate frames
 ik              inverse kinematics: cable lengths per requested angle
-singularities   all singular angles of both loops and alpha_sing; a residual is
-                |singularity_condition| at its angle (loop 2: minus it), at most
-                8 eps (|A|+|B|+|C|+|D|), plus |C - B| if pi is from a dropped term
+singularities   all singular angles of both loops and alpha_sing, each with its
+                residual |singularity_condition| <= 8 eps (|A|+|B|+|C|+|D|)
 energy-profile  sampled energy landscape plus stability summary
 optimize        design grid search; writes best.csv, lambda_curve.csv and
                 energy_curve.csv

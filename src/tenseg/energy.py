@@ -57,10 +57,10 @@ class Stability(enum.Enum):
 _STABILITY_CODES = (Stability.STABLE, Stability.UNSTABLE, Stability.NEUTRAL)
 
 
-def _check_springs(k1: float, k2: float, rest_fraction: float) -> None:
-    """Reject a stiffness that is not positive and finite, or a fraction
-    outside (0, 1)."""
-    for name, k in (("k1", k1), ("k2", k2)):
+def _check_springs(rest_fraction: float, *stiffnesses: float) -> None:
+    """Reject a stiffness ``k1``, ``k2`` that is not positive and finite, or
+    a rest fraction outside (0, 1): the one rule of every spring input."""
+    for name, k in zip(("k1", "k2"), stiffnesses):
         if not (k > 0.0 and math.isfinite(k)):
             raise ValueError(f"{name} must be > 0, got {k!r}")
     if not 0.0 < rest_fraction < 1.0:
@@ -78,7 +78,7 @@ class SpringParams:
     l0: float
 
     def __post_init__(self):
-        _check_springs(self.k1, self.k2, self.rest_fraction)
+        _check_springs(self.rest_fraction, self.k1, self.k2)
         if not (self.l0 > 0.0 and math.isfinite(self.l0)):
             raise ValueError(f"l0 must be > 0, got {self.l0!r}")
 
@@ -115,10 +115,8 @@ def rest_length(g: SegmentGeometry, fraction: float) -> float:
     :class:`InvalidFraction` unless ``0 < fraction < 1`` (the springs must be
     stretched at home).
     """
-    if not (math.isfinite(fraction) and 0.0 < fraction < 1.0):
-        raise InvalidFraction(f"rest fraction must lie in (0, 1), got {fraction!r}")
-    rho1, _ = cable_lengths(g, 0.0)
-    return fraction * float(rho1)
+    _check_springs(fraction)
+    return fraction * float(cable_lengths(g, 0.0)[0])
 
 
 def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):

@@ -227,10 +227,7 @@ def singularity_condition(g: SegmentGeometry, alpha):
     control the joint to first order.  By mirror symmetry the corresponding
     condition for cable 2 is this expression evaluated at ``-alpha``.  Accepts
     scalar or ndarray ``alpha``.  At an angle ``singular_angles`` returns it
-    is rounding alone, at most ``8 eps (|A| + |B| + |C| + |D|)``, plus
-    ``|C - B|`` where the kernel drops that leading coefficient of its
-    quartic (at most 1e-12 of the largest) and returns ``pi``.
-    """
+    is rounding alone, at most ``8 eps (|A| + |B| + |C| + |D|)``."""
     a, b, c, d = _condition_terms(g.h1, g.h2, g.h3, g.l1, g.l2)
     two_a = 2.0 * np.asarray(alpha)
     return (a * np.sin(alpha) + b * np.cos(alpha) + c * np.cos(two_a)

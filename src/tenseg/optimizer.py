@@ -28,16 +28,12 @@ quartic kernel.  The second keeps, per taper, the designs at the best score
 (the tie set; 4,462 of the 198,000 feasible default designs, exactly the cap
 region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's
 peak, only the ties that can still win (20 of the 4,462 default ones): the
-one of least lower bound on ``E_t``, a closed form (``_energy_lower_bound``),
-then those whose bound is at most its ``E_t`` times ``1 + _LB_MARGIN``.
-The rest keep ``E_t = inf``, and only the winners are classified.  No score
-depends on the other rows of its chunk, so the reports do not depend on the
-chunk size.  The energy integral, the home curvature and non-flat rows'
-singular angles come from the scalar API's batched kernels
-(:mod:`tenseg.singularity`, :mod:`tenseg.energy`), whose rows do not depend
-on the other rows of a call, so they equal the scalar calls' bit for bit; a
-flat row's arcsin closed form can differ from :func:`singular_angles` by
-rounding, most where the arcsin is steep.
+one of least lower bound on ``E_t`` (``_energy_lower_bound``), then those
+whose bound is at most its ``E_t`` times ``1 + _LB_MARGIN``.  The rest keep
+``E_t = inf``, and only the winners are classified.  Every kernel is the
+scalar API's (:mod:`tenseg.singularity`, :mod:`tenseg.energy`), batched, and
+no row depends on the other rows of a call: the reports do not depend on the
+chunk size, and equal the scalar calls bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +47,8 @@ from .energy import (_STABILITY_CODES, Stability, _check_springs,
                      _energy_integral, _energy_lower_bound, _energy_raw,
                      _home_stability)
 from .geometry import _cable_lengths_raw
-from .singularity import _sign, quartic_coefficients, quartic_real_roots
+from .singularity import (_flat_angle, _sign, quartic_coefficients,
+                          quartic_real_roots)
 
 _PI_2 = 0.5 * math.pi
 # Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
@@ -92,7 +89,7 @@ class SpringSpec:
     rest_fraction: float = 0.4
 
     def __post_init__(self):
-        _check_springs(self.k1, self.k2, self.rest_fraction)
+        _check_springs(self.rest_fraction, self.k1, self.k2)
 
 
 @dataclass(frozen=True)
@@ -184,20 +181,12 @@ class OptimizationReport:
 
 
 def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
-    """Nearest singular angle per design, arrays in, array out.
-
-    Designs with ``h1 = h3 = 0`` reduce to the closed form
-    ``arcsin(h2 (l1 + l2) / (4 l1 l2))`` (or no interior singularity when that
-    ratio exceeds 1, leaving only the crossings at ``|alpha| = pi/2``); the
-    rest go through the certified quartic kernel
-    :func:`tenseg.singularity.quartic_real_roots`.
-    """
-    nearest = np.full(h1.shape, np.inf)
+    """Nearest singular angle per design, arrays in, array out: that of
+    :func:`tenseg.singularity.singular_angles`, bit for bit, by its closed form
+    (``_flat_angle``) for ``h1 = h3 = 0`` and its quartic kernel otherwise."""
+    nearest = np.empty(h1.shape)
     flat = (h1 == 0.0) & (h3 == 0.0)
-    if flat.any():
-        ratio = h2[flat] * (l1[flat] + l2[flat]) / (4.0 * l1[flat] * l2[flat])
-        nearest[flat] = np.where(ratio >= 1.0, _PI_2,
-                                 np.arcsin(np.minimum(ratio, 1.0)))
+    nearest[flat] = np.fmin(_flat_angle(h2[flat], l1[flat], l2[flat]), _PI_2)
     rest = ~flat
     if rest.any():
         roots = quartic_real_roots(quartic_coefficients(
@@ -255,34 +244,32 @@ def _certified(axes, bar: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``-b`` is ``4h (h2 cos delta + (l1 + l2) cos 2 delta) - 2 h2 (l1 + l2)
     sin delta - 4 (l1 l2 - h^2) sin 2 delta``, at least the same with
     ``2 delta (h2 (l1 + l2) + 4 l1 l2)`` subtracted instead.  For ``0 <
-    delta < pi/4`` both parts grow with ``h``, ``h2``, ``l1`` and the row's
-    ``l2 = lam * l1`` (rounding is monotone), so the first at the smallest
-    positive samples, less the second at the largest, bounds every row of
-    the taper from below.  Where that is positive, ``q(0) = B + C < 0`` puts
-    a root in ``(-b, 0)``.
+    delta < pi/4`` both parts grow with ``h``, ``h2``, ``l1`` and ``l2``
+    (rounding is monotone): the first at the smallest positive samples, less
+    the second at the largest, bounds the taper's rows from below; where it
+    is positive, ``q(0) = B + C < 0`` puts a root in ``(-b, 0)``.  Samples
+    are integers times their largest denominator, and the bound homogeneous.
     """
     lam, h1, h2, l1 = axes
     capped = bar == _PI_2
     if not (capped.any() and (h1 >= 0.0).all()):  # every row flat or h1 > 0
         return np.zeros_like(capped)
 
-    def exact(x):
-        # x * 2**1074, an integer for every float.  Plain integers, because
-        # importing fractions alone adds 0.3 MB and 3 ms to a sweep.
-        n, d = float(x).as_integer_ratio()
-        return n * (2**1074 // d)
-
-    one, h, h2lo, h2hi, l1lo, l1hi = map(exact, (
+    # Plain integers: importing fractions alone adds 0.3 MB and 3 ms.
+    taper = np.flatnonzero(capped)
+    ratios = [float(x).as_integer_ratio() for x in (
         1.0, h1[h1 > 0.0].min(), h2[h2 > 0.0].min(), h2.max(), l1.min(),
-        l1.max()))
+        l1.max(), math.nextafter(math.pi, math.inf) / 2, b[capped].min(),
+        *(lam[taper] * l1.min()), *(lam[taper] * l1.max()))]
+    scale = max(d for _, d in ratios)
+    one, h, h2lo, h2hi, l1lo, l1hi, half_pi, b_min, *l2 = (
+        n * (scale // d) for n, d in ratios)
     # Both sides times 2 one^4: delta from above, through the float above pi
     # (the bound falls as delta grows), and cos delta, cos 2 delta from below
     # by 1 - x^2/2.
-    delta = (exact(math.nextafter(math.pi, math.inf) / 2)
-             - exact(b[capped].min()))
+    delta = half_pi - b_min
     cos1, cos2 = 2 * one**2 - delta**2, 2 * one**2 - 4 * delta**2
-    for i in np.flatnonzero(capped):
-        l2lo, l2hi = (exact(lam[i] * v) for v in (l1.min(), l1.max()))
+    for i, l2lo, l2hi in zip(taper, l2, l2[len(taper):]):
         capped[i] = (4 * h * (h2lo * cos1 + (l1lo + l2lo) * cos2)
                      > 4 * one * delta * (h2hi * (l1hi + l2hi)
                                           + 4 * l1hi * l2hi))
@@ -298,8 +285,7 @@ def _score_grid(axes) -> np.ndarray:
     lam, h1, h2, l1 = axes
     grid = np.empty(tuple(map(len, axes)))
     f_lam, f_h2, f_l1 = np.broadcast_arrays(lam[:, None, None], h2[:, None], l1)
-    face = _capped(_nearest_singularity_block(0.0 * f_h2, f_h2, 0.0 * f_h2,
-                                              f_l1, f_lam * f_l1))
+    face = _capped(np.fmin(_flat_angle(f_h2, f_l1, f_lam * f_l1), _PI_2))
     bar = face[:, h2.argmax(), l1.argmin()]
     b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
     certified = _certified(axes, bar, b)

@@ -8,23 +8,22 @@ the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
 quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
 ``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One batched
-kernel, :func:`quartic_real_roots`, serves :func:`singular_angles` (one row)
-and the design sweep (whole chunks).  It starts from the closed-form roots
-(Ferrari's resolvent cubic, or Cardano for a cubic; cf. Flocke, ACM TOMS 41,
-2015), polishes the nearly real ones by two Newton steps and keeps those that
-converged where ``q`` vanishes to rounding.  It then counts each row's
-distinct real roots from the invariants ``I``, ``J``, ``P`` and ``D`` (Rees,
-Amer. Math. Monthly 29, 1922), each with a rounding bound.  A row is
-certified when the invariants clear their bounds, the count equals the number
-of kept roots and no two kept roots lie within 1e-6 relative.  Other rows (a
-double or triple root, or a discriminant at the rounding level) are solved
-one by one from the signs of ``q`` at its critical points, which split the
-line into pieces where ``q`` is monotone: a certain sign change between two
-of them holds one simple root, and a critical point where ``q`` vanishes to
-rounding is a multiple root (Lazard, J. Symbolic Comput. 5, 1988).
-
-One row, as :func:`singular_angles` passes it, runs unbatched on numpy
-scalars: the same bits as in any batch, at a fraction of the dispatch cost.
+kernel, :func:`quartic_real_roots`, serves :func:`singular_angles` (one row,
+run unbatched on numpy scalars: the same bits as in any batch, at a fraction
+of the dispatch cost) and the design sweep (whole chunks); flat designs
+(``h1 = h3 = 0``) take :func:`_flat_angle` in both.  It starts from the
+closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
+Flocke, ACM TOMS 41, 2015), polishes the nearly real ones by two Newton steps
+and keeps those that converged where ``q`` vanishes to rounding.  It then
+counts each row's distinct real roots from the invariants ``I``, ``J``, ``P``
+and ``D`` (Rees, Amer. Math. Monthly 29, 1922), each with a rounding bound.
+A row is certified when the invariants clear their bounds, the count equals
+the number of kept roots and no two kept roots lie within 1e-6 relative.
+Other rows (a double or triple root, or a discriminant at the rounding level)
+are solved one by one from the signs of ``q`` at its critical points, which
+split the line into pieces where ``q`` is monotone: a certain sign change
+between two of them holds one simple root, and a critical point where ``q``
+vanishes to rounding is a multiple root (Lazard, J. Symbolic Comput. 5, 1988).
 
 ``alpha = pi`` is a root of multiplicity ``4 - degree`` when the leading
 coefficients vanish.  The key figure of merit is ``alpha_sing``: the singular
@@ -40,9 +39,12 @@ import numpy as np
 
 from .geometry import SegmentGeometry, _condition_terms, normalize_angle
 
-# Leading coefficients at most _TRIM_REL times the row's largest count as
-# zero when fixing the degree.
-_TRIM_REL = 1e-12
+# Rounding bound of C - B relative to |B| + |C| (they take two and three
+# roundings), and of _flat_angle's ratio near 1 (it takes four).
+_ROUNDING_REL = 2.0 * float(np.finfo(float).eps)
+# The fallback drops a leading coefficient at most _FAR_REL of the row's
+# largest: its root lies beyond 2**64, where alpha rounds to pi.
+_FAR_REL = 2.0**-256
 # Relative size above which an imaginary part marks a closed-form starting
 # point, or a critical point of the fallback, as complex.
 _REALISH_REL = 1e-6
@@ -83,10 +85,24 @@ class SingularitySet:
 
 def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
     """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``, from
-    :func:`tenseg.geometry._condition_terms` of float or array dimensions."""
+    :func:`tenseg.geometry._condition_terms` of float or array dimensions.
+    The leading one, ``C - B``, is 0 where it is rounding alone: then the
+    condition at ``pi`` is within ``8 eps (|A| + |B| + |C| + |D|)``."""
     a, b, c, d = _condition_terms(h1, h2, h3, l1, l2)
+    lead = np.where(abs(c - b) <= _ROUNDING_REL * (abs(b) + abs(c)), 0.0, c - b)
     return np.array([b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d,
-                     c - b]).T
+                     lead]).T
+
+
+def _flat_angle(h2, l1, l2):
+    """Elementwise, the singular angle in ``[0, pi/2]`` of a flat design: with
+    ``h1 = h3 = 0``, ``A = C = 0`` and the condition ``cos a (B + 2D sin a)``
+    has roots ``+-pi/2``, ``arcsin(ratio)`` and ``pi - arcsin(ratio)``,
+    ``ratio = -B / (2D) = h2 (l1 + l2) / (4 l1 l2)``.  Within its rounding
+    of 1 it gives a triple root at ``pi/2``; above, only ``+-pi/2`` (NaN)."""
+    ratio = h2 * (l1 + l2) / (4.0 * l1 * l2)
+    inner = np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), np.nan)
+    return np.where(abs(ratio - 1.0) <= _ROUNDING_REL, 0.5 * math.pi, inner)
 
 
 # Weights of the monomials formed in _invariants, one column per invariant
@@ -161,6 +177,8 @@ def _quadratic_roots(mid, c):
     return np.concatenate([mid + real, mid - real]), np.concatenate([im, im])
 
 
+# Overflow near a huge or tiny root leaves a row no root there: it falls back.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
     """Kept real roots ``(degree, ...)`` of ``(degree + 1, ...)`` columns."""
     monic = sub[:degree] / sub[degree]
@@ -199,25 +217,22 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
     t[im > _REALISH_REL * (1.0 + np.abs(t))] = np.nan
     # Two Newton steps by Horner from the leading coefficient down; its first
     # step (slope 0, value lead) is folded in, exact wherever t is finite.
-    # A step from a seed far off a tiny root can leave the float range: the
-    # row then keeps no root there and goes to the fallback.
     lead, first, *rest = sub[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            slope, value = lead, lead * t + first
-            for c in rest:
-                slope = slope * t + value
-                value = value * t + c
-            slope[slope == 0.0] = np.inf
-            step = value / slope
-            t = t - step
-        value = lead * t + first
+    for _ in range(2):
+        slope, value = lead, lead * t + first
         for c in rest:
+            slope = slope * t + value
             value = value * t + c
-        growth = 1.0 + np.abs(t)
-        kept = (np.isfinite(value)
-                & (np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
-                & (np.abs(step) <= _STEP_REL * growth))
+        slope[slope == 0.0] = np.inf
+        step = value / slope
+        t = t - step
+    value = lead * t + first
+    for c in rest:
+        value = value * t + c
+    growth = 1.0 + np.abs(t)
+    kept = (np.isfinite(value)
+            & (np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
+            & (np.abs(step) <= _STEP_REL * growth))
     t[~kept] = np.nan
     return t
 
@@ -271,7 +286,7 @@ def _fallback_roots(row):
     scale = max(abs(v) for v in c)
     if scale == 0.0:
         raise DegenerateInput("the zero quartic is singular everywhere")
-    while abs(c[-1]) <= _TRIM_REL * scale:
+    while abs(c[-1]) <= _FAR_REL * scale:
         c.pop()
     degree = len(c) - 1
     dc = [k * v for k, v in enumerate(c)][1:]
@@ -317,15 +332,13 @@ def quartic_real_roots(coeffs):
     last two 0-d or ``(n,)``.  A row gets the same bits alone as in any batch.
     Certified rows have simple roots; the others, and all of degree below 3,
     are solved from the signs at their critical points (a zero row raises
-    :class:`DegenerateInput`).  A leading coefficient at most ``1e-12`` times
-    the row's largest counts as zero.
+    :class:`DegenerateInput`).  Only an exact 0 lowers the degree, and in the
+    fallback one below ``_FAR_REL`` of the row's largest.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
     roots = np.full((4, *cols.shape[1:]), np.nan)
-    size = np.abs(cols)
-    scale = size.max(axis=0)
-    big = size[3:] > _TRIM_REL * scale
-    degree = np.where(big[1], 4, 3 * big[0])
+    scale = np.abs(cols).max(axis=0)
+    degree = np.where(cols[4] != 0.0, 4, 3 * (cols[3] != 0.0))
     for d in (4, 3):
         rows = degree == d
         hits = np.count_nonzero(rows)
@@ -338,9 +351,8 @@ def quartic_real_roots(coeffs):
     close = roots[1:] - roots[:-1] <= _SEPARATION_REL * (
         1.0 + np.abs(roots[:-1]))
     # Scaling by a power of two is exact and keeps the invariants clear of
-    # overflow and underflow; a dropped leading term counts as zero.
+    # overflow and underflow.
     unit = np.ldexp(cols, -np.frexp(scale)[1])
-    unit[4] = np.where(big[1], unit[4], 0.0)
     count = _real_root_count(unit) - (4 - degree)
     certified = ((count == np.isfinite(roots).sum(axis=0))
                  & ~close.any(axis=0) & (degree > 0))
@@ -360,18 +372,26 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
     # power of two is exact short of the subnormals: with the largest
     # dimension in [0.5, 1) the quartic can neither overflow nor vanish.
     dims = np.array([g.h1, g.h2, g.h3, g.l1, g.l2])
-    dims = np.ldexp(dims, -np.frexp(dims.max())[1])
-    roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
-    real = mults > 0
-    # Off the flat face the sweep takes the same arctangent, so both agree to
-    # the last bit; flat rows take an arcsin closed form that rounds otherwise.
-    loop1 = (2.0 * np.arctan(roots[real])).tolist()
-    mults = mults[real].tolist()
-    # t = tan(alpha/2) cannot reach alpha = pi, where the condition equals
-    # the leading coefficient: each vanishing leading term is one root there.
-    if degree < 4:
-        loop1.append(math.pi)
-        mults.append(4 - int(degree))
+    h1, h2, h3, l1, l2 = dims = np.ldexp(dims, -np.frexp(dims.max())[1])
+    half = 0.5 * math.pi
+    # Flat with B = D = 0 (dimensions 1e300 apart), the kernel raises.
+    if h1 == h3 == 0.0 and (h2 * (l1 + l2) or l1 * l2):
+        with np.errstate(divide="ignore", over="ignore"):  # D = 0: +-pi/2
+            inner = float(_flat_angle(h2, l1, l2))
+        loop1, mults = [-half, half], [1, 3 if inner == half else 1]
+        if inner < half:  # neither NaN nor the triple root
+            loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4
+    else:
+        roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
+        real = mults > 0
+        # The sweep takes the same arctangent, so both agree to the last bit.
+        loop1 = (2.0 * np.arctan(roots[real])).tolist()
+        mults = mults[real].tolist()
+        # t = tan(alpha/2) cannot reach alpha = pi, where the condition
+        # equals the leading coefficient: each vanishing one is a root there.
+        if degree < 4:
+            loop1.append(math.pi)
+            mults.append(4 - int(degree))
     loop2 = tuple(sorted(normalize_angle(-a) for a in loop1))
     alpha_sing = min((abs(a) for a in loop1), default=None)
     return SingularitySet(tuple(loop1), loop2, tuple(mults), alpha_sing)

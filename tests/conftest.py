@@ -80,14 +80,13 @@ def singularity_condition(g: SegmentGeometry, alpha):
     )
 
 
-def condition_bound(g: SegmentGeometry, found) -> float:
+def condition_bound(g: SegmentGeometry) -> float:
     """The stated bound on ``|tenseg.singularity_condition(g, alpha)|`` at
-    the angles of ``found = singular_angles(g)``: ``8 eps (|A| + |B| + |C| +
-    |D|)``, plus ``|C - B|`` when ``pi`` is among them because the kernel
-    dropped that leading coefficient of the half-angle quartic as rounding."""
+    every angle ``singular_angles(g)`` returns: ``8 eps (|A| + |B| + |C| +
+    |D|)``, with no term for a dropped leading coefficient of the half-angle
+    quartic, which the kernel drops only within its rounding."""
     a, b, c, d = _condition_terms(g.h1, g.h2, g.h3, g.l1, g.l2)
-    dropped = abs(c - b) if math.pi in found.loop1 else 0.0
-    return 8.0 * EPS * (abs(a) + abs(b) + abs(c) + abs(d)) + dropped
+    return 8.0 * EPS * (abs(a) + abs(b) + abs(c) + abs(d))
 
 
 def scan_singularities(g, n: int = 1_000_000):

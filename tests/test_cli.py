@@ -174,7 +174,7 @@ def test_golden_residuals_are_within_the_stated_bound(name, fmt):
     # rounding alone: at most 8 eps (|A| + |B| + |C| + |D|).
     config = json.loads((GOLDEN / name / "config.json").read_text())
     g = SegmentGeometry(**config["geometry"])
-    bound = condition_bound(g, singular_angles(g))
+    bound = condition_bound(g)
     table = read_table(GOLDEN / name / f"singularities.{fmt}")
     residuals = [row[table["columns"].index("residual")]
                  for row in table["rows"]]

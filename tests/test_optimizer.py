@@ -301,19 +301,32 @@ def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
         assert 2.0 * np.arctan(found[found == found]) == pytest.approx(
             2.0 * np.arctan(oracle), abs=1e-12)
 
-    # The sweep's capped score is the scalar API's, bit for bit off the flat
-    # face (which the sweep takes in closed form).
+    # The sweep's capped score is the scalar API's, bit for bit, on the flat
+    # face (both take its closed form) and off it.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
     for row in range(len(h1)):
         g = SegmentGeometry(h1=h1[row], h2=h2[row], h3=h1[row], l1=l1[row],
                             l2=l2[row])
         scalar = capped_alpha_sing(singular_angles(g).alpha_sing)
-        swept = capped_alpha_sing(float(nearest[row]))
-        if h1[row] > 0.0:
-            assert swept == scalar
-        else:
-            assert swept == pytest.approx(scalar, abs=1e-12)
+        assert capped_alpha_sing(float(nearest[row])) == scalar
+
+
+def test_sweep_flat_rows_equal_singular_angles_bit_for_bit():
+    # All 18,000 feasible flat rows of the default grid, uncapped: the sweep
+    # and singular_angles take the same closed form.  Its arcsin is steep
+    # where the ratio nears 1, so any second route would differ there.
+    bounds = DesignBounds()
+    h1, h2, _, l1, lam = (np.array(v) for v in zip(*enumerate_grid(bounds)))
+    flat = (h1 == 0.0) & (h2 > 0.0)
+    h2, l1, l2 = h2[flat], l1[flat], lam[flat] * l1[flat]
+    assert len(h2) == 18_000
+    nearest = importlib.import_module(
+        "tenseg.optimizer")._nearest_singularity_block(0.0 * h2, h2, 0.0 * h2,
+                                                        l1, l2)
+    scalar = [singular_angles(SegmentGeometry(0.0, a, 0.0, b, c)).alpha_sing
+              for a, b, c in zip(h2.tolist(), l1.tolist(), l2.tolist())]
+    assert nearest.tolist() == scalar
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,16 @@ def residual(coeffs, t):
 
 
 def test_degree_trims_negligible_leading_coefficients():
-    assert solve([1.0, 2.0, 1e-20])[2] == 1
+    # Only exact zeros lower the degree: a small leading coefficient keeps
+    # its huge root, here -2e20.
+    assert solve([1.0, 2.0, 0.0, 0.0])[2] == 1
     assert solve([3.0])[2] == 0
-    assert solve([1.0, 0.0, 1.0, 0.0, 1e-13])[2] == 2
+    roots, _, degree = solve([1.0, 2.0, 1e-20])
+    assert degree == 2 and roots == pytest.approx((-2e20, -0.5), rel=1e-12)
+    assert solve([1.0, 0.0, 1.0, 0.0, 1e-13])[2] == 4
+    # Below 2**-256 of the largest the root lies beyond 2**64, out of the
+    # fallback's reach: -5e300 here.
+    assert solve([5.0, 1e-300]) == ((), (), 0)
 
 
 def test_quadratic_roots():

@@ -163,6 +163,61 @@ def test_flat_design_without_interior_singularity():
     assert found.alpha_sing == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+def flat_designs():
+    """Seeded flat designs: random ones, ones whose ratio ``h2 (l1 + l2) /
+    (4 l1 l2)`` is within a few ulps of 1, and the default grid's flat
+    squares at lambda = 1 (``h2 = 2 l1`` exactly in floats)."""
+    rng = np.random.default_rng(101)
+    designs = [SegmentGeometry(0.0, rng.uniform(0.1, 2.5), 0.0,
+                               rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+               for _ in range(100)]
+    for _ in range(20):
+        l1, l2 = rng.uniform(0.1, 3.0, 2)
+        square = 4.0 * l1 * l2 / (l1 + l2)
+        designs += [SegmentGeometry(0.0, square * (1.0 + j * conftest.EPS),
+                                    0.0, l1, l2) for j in range(-6, 7)]
+    bounds = DesignBounds()
+    designs += [SegmentGeometry(0.0, h2, 0.0, l1, l1)
+                for h2 in bounds.h2_axis() for l1 in bounds.l1_axis()
+                if h2 == 2.0 * l1]
+    return designs
+
+
+def test_flat_closed_form_matches_30_digit_roots():
+    # The flat condition cos a (B + 2D sin a) has roots +-pi/2, arcsin(r) and
+    # pi - arcsin(r), r = h2 (l1 + l2) / (4 l1 l2), here taken exactly from
+    # the float dimensions.  The float r is within 2 eps r of it, which moves
+    # arcsin(r) by up to 2 eps r / sqrt(1 - r^2); within that of 1 the three
+    # roots near pi/2 come back as one triple root there.
+    designs = flat_designs()
+    assert sum(g.h2 == 2.0 * g.l1 == 2.0 * g.l2 for g in designs) >= 5
+    half = 0.5 * math.pi
+    with mpmath.workdps(30):
+        for g in designs:
+            h2, l1, l2 = (mpmath.mpf(v) for v in (g.h2, g.l1, g.l2))
+            ratio = h2 * (l1 + l2) / (4 * l1 * l2)
+            found = singular_angles(g)
+            assert found.loop1[0] == -half and half in found.loop1, g
+            if len(found.loop1) == 4:
+                inner = mpmath.asin(ratio)
+                tolerance = (2.5 * conftest.EPS * ratio
+                             / mpmath.sqrt(1 - ratio**2) + 4e-16)
+                assert abs(found.loop1[1] - inner) <= tolerance, g
+                assert abs(found.loop1[3] - (mpmath.pi - inner)) <= tolerance, g
+                assert found.multiplicities == (1, 1, 1, 1)
+                assert found.alpha_sing == found.loop1[1]
+            elif found.multiplicities == (1, 3):
+                assert abs(ratio - 1) <= 4 * conftest.EPS, g
+                assert found.alpha_sing == half
+            else:
+                assert found.multiplicities == (1, 1) and ratio > 1, g
+                assert found.alpha_sing == half
+    # The exact flat squares are triple roots at pi/2.
+    for g in designs:
+        if g.h2 == 2.0 * g.l1 == 2.0 * g.l2:
+            assert singular_angles(g).multiplicities == (1, 3), g
+
+
 def test_half_turn_singular_when_middle_link_doubles_end_links():
     # At alpha = pi the condition equals the leading polynomial coefficient,
     # which vanishes exactly when h2 = 2 h1 (with h3 = h1).
@@ -267,19 +322,21 @@ def test_kernel_certificate_on_reference_designs():
     assert singular_angles(HALF_TURN).multiplicities == (1, 1, 1, 1)
 
 
-@pytest.mark.parametrize("g", [TANGENT, FLAT_SQUARE], ids=["tangent", "flat"])
-def test_uncertified_design_runs_the_fallback_once(monkeypatch, g):
-    fallback = singularity_module._fallback_roots
+@pytest.mark.parametrize("g, kernel_calls", [(TANGENT, 1), (FLAT_SQUARE, 0)],
+                         ids=["tangent", "flat"])
+def test_uncertified_design_runs_the_fallback_once(monkeypatch, g,
+                                                   kernel_calls):
+    # The tangency's multiplicities come from one fallback call; the flat
+    # square's triple root comes from the flat closed form, with no kernel.
     calls = []
+    for name in ("_fallback_roots", "quartic_real_roots"):
+        def counted(*args, kernel=getattr(singularity_module, name)):
+            calls.append(args)
+            return kernel(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return fallback(*args)
-
-    monkeypatch.setattr(singularity_module, "_fallback_roots", counted)
+        monkeypatch.setattr(singularity_module, name, counted)
     found = singular_angles(g)
-    assert len(calls) == 1
-    # The multiplicities come from that one call.
+    assert len(calls) == 2 * kernel_calls
     assert 2 in found.multiplicities or 3 in found.multiplicities
 
 
@@ -380,8 +437,7 @@ def oracle_roots(g):
     real roots as ``(angle, tolerance)`` pairs, with ``pi`` once per
     vanishing leading term, and the angles of its complex roots within
     ``CLUSTER`` of the real axis.  The tolerance is how far a simple root
-    moves when each coefficient changes by 1e-14 of its size and the leading
-    one by 1e-12 of the largest (the kernel drops a leading term that small).
+    moves when each coefficient changes by 1e-14 of its size.
     """
     h1, h2, h3, l1, l2 = (Fraction(v) for v in (g.h1, g.h2, g.h3, g.l1, g.l2))
     a, b = -2 * h2 * (h1 + h3), -2 * h2 * (l1 + l2)
@@ -397,8 +453,7 @@ def oracle_roots(g):
             angle = 2 * mpmath.atan(mpmath.mpc(z))
             if abs(angle.imag) <= 1e-20:
                 t = mpmath.re(z)
-                size = (1e-14 * mpmath.polyval([abs(x) for x in coeffs], abs(t))
-                        + 1e-12 * max(abs(x) for x in coeffs) * abs(t) ** 4)
+                size = 1e-14 * mpmath.polyval([abs(x) for x in coeffs], abs(t))
                 degree = len(coeffs) - 1
                 slope = abs(mpmath.polyval(
                     [(degree - k) * x for k, x in enumerate(coeffs[:-1])], t))
@@ -486,7 +541,7 @@ def test_near_degenerate_designs_match_oracle(g):
 
 def assert_condition_within_bound(g):
     found = singular_angles(g)
-    bound = condition_bound(g, found)
+    bound = condition_bound(g)
     for sign, angles in ((1.0, found.loop1), (-1.0, found.loop2)):
         for angle in angles:
             value = tenseg.singularity_condition(g, sign * angle)
@@ -515,9 +570,21 @@ def test_condition_at_singular_angles_is_within_its_stated_bound():
 @example(SegmentGeometry(h1=1.0, h2=2.0000000000002, h3=1.0, l1=1.0, l2=0.7))
 @settings(max_examples=60, deadline=None)
 def test_condition_near_degenerate_designs_is_within_its_stated_bound(g):
-    # Near the half turn the kernel drops a leading coefficient C - B below
-    # 1e-12 of the largest and returns pi, where the condition is C - B.
+    # Near the half turn C - B is dropped only within its rounding, where the
+    # condition at pi, C - B itself, is still inside the bound.
     assert_condition_within_bound(g)
+
+
+@pytest.mark.parametrize("k", range(10, 16))
+def test_near_half_turn_designs_meet_the_bound_with_no_extra_term(k):
+    # h2 = 2 h1 (1 +- 10**-k) puts a root about 10**-k from pi.  Unless C - B
+    # is rounding alone, the kernel must keep it and find that root: pi in
+    # its place would leave a residual C - B, above the bound for k <= 14.
+    for h1, l1, l2 in ((1.0, 1.0, 0.7), (0.3, 1.3, 0.45), (2.0, 0.6, 1.9)):
+        for sign in (1.0, -1.0):
+            g = SegmentGeometry(h1=h1, h2=2.0 * h1 * (1.0 + sign * 10.0**-k),
+                                h3=h1, l1=l1, l2=l2)
+            assert_condition_within_bound(g)
 
 
 # ---------------------------------------------------------------------------
