@@ -24,7 +24,6 @@ endings, identically for the CSV and JSON formats.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -198,6 +197,7 @@ def _load_config(path: str | None, flags: dict) -> dict:
     """Read the JSON config, write ``flags`` over its keys and parse every key."""
     config = {}
     if path is not None:
+        import json  # loaded on use: a CSV run without a config needs none
         try:
             with open(path, encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -259,6 +259,7 @@ def _write_table(opts, name: str, columns, rows, head: dict | None = None,
         lines += [f"{key},{_render(value)}" for key, value in foot.items()]
         text = "\n".join(lines) + "\n"
     else:
+        import json
         document = [dict(zip(columns, row)) for row in rows]
         text = json.dumps({**head, "rows": document, **foot}, indent=2) + "\n"
     opts.output.mkdir(parents=True, exist_ok=True)

@@ -340,7 +340,8 @@ def optimize(bounds: DesignBounds | None = None,
         e_total[first] = _energy_integral(*dims[:, [first]], k1, k2, top)[0]
         rows = rows[(bound[rows] <= e_total[first] * (1.0 + _LB_MARGIN))
                     & (rows != first)]
-        e_total[rows] = _energy_integral(*dims[:, rows], k1, k2, top)
+        if len(rows):
+            e_total[rows] = _energy_integral(*dims[:, rows], k1, k2, top)
 
     # The first row per taper by (E_t, h1, h2, l1) wins.
     order = np.lexsort((l1, h2, h1, e_total, ilam))

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 
 from tenseg import SegmentGeometry
-from tenseg.energy import _energy_raw, _energy_rule
+from tenseg.energy import _RULE_NODES, _RULE_WEIGHTS, _energy_raw
 from tenseg.geometry import _condition_terms
 from tenseg.optimizer import _SNAP
 
@@ -145,14 +145,14 @@ def per_row_energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing):
     library's rule with one range column per row, ``alpha[:, None] * nodes``,
     in blocks of 128 rows.  The arithmetic the sweep's kernel ran before it
     took one shared range per call, kept to pin that kernel bit for bit."""
-    nodes, weights = _energy_rule()
     columns = [np.asarray(v)[:, None]
                for v in (h1, h2, h3, l1, l2, l0, alpha_sing)]
     total = np.empty(len(columns[0]))
     for start in range(0, len(total), 128):
         *dims, alpha = (c[start:start + 128] for c in columns)
-        values = _energy_raw(*dims, k1, k2, alpha * nodes)
-        total[start:start + 128] = alpha[:, 0] * (values * weights).sum(axis=1)
+        values = _energy_raw(*dims, k1, k2, alpha * _RULE_NODES)
+        total[start:start + 128] = (
+            alpha[:, 0] * (values * _RULE_WEIGHTS).sum(axis=1))
     return total
 
 

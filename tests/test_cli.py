@@ -802,23 +802,35 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "ik.csv").exists()
 
 
-POOL_PROBE = """\
+MODULE_PROBE = """\
 import sys
 import tenseg.cli
 code = tenseg.cli.main(sys.argv[1:])
-print(code, sorted({"concurrent.futures.process", "multiprocessing"}
-                   & set(sys.modules)))
+print(code, sorted({"concurrent.futures.process", "multiprocessing",
+                    "numpy.polynomial", "json"} & set(sys.modules)))
 """
 
 
 def test_optimize_loads_no_process_pool(tmp_path, small_resolutions):
     # The sweep runs in one process: neither the CLI nor a sweep imports the
-    # pool's modules, and --workers is still accepted (and ignored).
+    # pool's modules, and --workers is still accepted (and ignored).  The
+    # energy rule is a table, so numpy.polynomial is not loaded either; json
+    # is, to read the config.
     config = write_config(tmp_path, small_resolutions)
     result = subprocess.run(
-        [sys.executable, "-c", POOL_PROBE, "optimize", "--workers", "2",
+        [sys.executable, "-c", MODULE_PROBE, "optimize", "--workers", "2",
          "--config", config, "--output", str(tmp_path)],
         capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 ['json']"
+    assert (tmp_path / "best.csv").exists()
+
+
+def test_default_csv_sweep_loads_no_json(tmp_path):
+    # Without a config and with CSV output nothing reads or writes JSON.
+    result = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, "optimize", "--output",
+         str(tmp_path)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "best.csv").exists()

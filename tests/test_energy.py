@@ -236,6 +236,40 @@ def test_profile_rejects_bad_inputs():
 # total energy
 
 
+def mp_legendre(x, n=128):
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence, in mpmath."""
+    p0, p1 = mpmath.mpf(1), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def test_tabulated_rule_is_gauss_legendre_to_its_stated_accuracy():
+    # Newton-polished on P128 at 40 digits, each of the 64 ascending nodes
+    # lies within 1 ulp of its root, so they are P128's 64 positive roots;
+    # the weight at a root x is 2 / ((1 - x^2) P128'(x)^2).
+    energy_module = importlib.import_module("tenseg.energy")
+    half_u, half_w = energy_module._GL_U, energy_module._GL_W
+    assert len(half_u) == len(half_w) == 64
+    assert 0.0 < half_u[0] and list(half_u) == sorted(half_u) and half_u[-1] < 1
+    with mpmath.workdps(40):
+        for x, w in zip(half_u, half_w):
+            root = mpmath.mpf(x)
+            for _ in range(3):
+                p, dp = mp_legendre(root)
+                root -= p / dp
+            _, dp = mp_legendre(root)
+            weight = 2 / ((1 - root * root) * dp * dp)
+            assert abs(x - root) <= np.spacing(x)
+            assert abs(w - weight) <= 2e-11 * weight
+    full = np.concatenate((half_w[::-1], half_w))
+    assert abs(full.sum() - 2.0) <= 4 * np.finfo(float).eps
+    # Mirrored, the rule in alpha is exactly symmetric, as leggauss's own is.
+    nodes, weights = energy_module._RULE_NODES, energy_module._RULE_WEIGHTS
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+
+
 def test_total_energy_matches_dense_trapezoid_oracle():
     rng = np.random.default_rng(97)
     for _ in range(5):
