@@ -7,14 +7,14 @@ the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 
 The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
 quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
-``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One batched
-kernel, :func:`quartic_real_roots`, serves :func:`singular_angles` (one row,
-run unbatched on numpy scalars: the same bits as in any batch, at a fraction
-of the dispatch cost) and the design sweep (whole chunks); flat designs
-(``h1 = h3 = 0``) take :func:`_flat_angle` in both.  It starts from the
-closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
-Flocke, ACM TOMS 41, 2015), polishes the nearly real ones by two Newton steps
-and keeps those that converged where ``q`` vanishes to rounding.  It then
+``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel,
+:func:`quartic_real_roots`, serves :func:`singular_angles` (one row, root by
+root on numpy scalars, with no array dispatch) and the design sweep (chunks,
+root by root on ``(n,)`` arrays), with the same bits for a row in both; flat
+designs (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  It starts from
+the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
+Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
+steps and keeps those that converged where ``q`` vanishes to rounding.  It then
 counts each row's distinct real roots from the invariants ``I``, ``J``, ``P``
 and ``D`` (Rees, Amer. Math. Monthly 29, 1922), each with a rounding bound.
 A row is certified when the invariants clear their bounds, the count equals
@@ -83,13 +83,20 @@ class SingularitySet:
     alpha_sing: float | None
 
 
+def _where(cond, a, b):
+    """``np.where``, or a plain choice on one row's numpy scalars."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
     """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``, from
     :func:`tenseg.geometry._condition_terms` of float or array dimensions.
     The leading one, ``C - B``, is 0 where it is rounding alone: then the
     condition at ``pi`` is within ``8 eps (|A| + |B| + |C| + |D|)``."""
     a, b, c, d = _condition_terms(h1, h2, h3, l1, l2)
-    lead = np.where(abs(c - b) <= _ROUNDING_REL * (abs(b) + abs(c)), 0.0, c - b)
+    lead = _where(abs(c - b) <= _ROUNDING_REL * (abs(b) + abs(c)), 0.0, c - b)
     return np.array([b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d,
                      lead]).T
 
@@ -101,35 +108,25 @@ def _flat_angle(h2, l1, l2):
     ``ratio = -B / (2D) = h2 (l1 + l2) / (4 l1 l2)``.  Within its rounding
     of 1 it gives a triple root at ``pi/2``; above, only ``+-pi/2`` (NaN)."""
     ratio = h2 * (l1 + l2) / (4.0 * l1 * l2)
-    inner = np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), np.nan)
-    return np.where(abs(ratio - 1.0) <= _ROUNDING_REL, 0.5 * math.pi, inner)
-
-
-# Weights of the monomials formed in _invariants, one column per invariant
-# of a t^4 + b t^3 + c t^2 + d t + e, padded with zero weights.
-_WEIGHTS = np.array([
-    [1, -3, 12, 0, 0],         # I: cc bd ae
-    [2, -9, 27, 27, -72],      # J: ccc bcd bbe add ace
-    [8, -3, 0, 0, 0],          # P: ac bb
-    [64, -16, 16, -16, -3],    # D: aaae aacc abbc aabd bbbb
-], dtype=float).T
+    inner = _where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), np.nan)
+    return _where(abs(ratio - 1.0) <= _ROUNDING_REL, 0.5 * math.pi, inner)
 
 
 def _invariants(unit: np.ndarray):
-    """``I``, ``J``, ``P``, ``D`` of each column's quartic and the sums of
-    their terms' sizes, each ``(4, ...)`` from ``(5, ...)``."""
+    """``I``, ``J``, ``P``, ``D`` of each column's ``a t^4 + ... + e`` and the
+    sums of their terms' sizes, each ``(4, ...)`` from ``(5, ...)``."""
     e, d, c, b, a = unit
     aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
-    # Transposed both ways, so that the weights meet a batch axis or none.
-    terms = (_WEIGHTS * np.array([
-        [cc, bd, ae, cc, cc],
-        [c * cc, c * bd, e * bb, a * d * d, c * ae],
-        [ac, bb, cc, cc, cc],
-        [aa * ae, ac * ac, bb * ac, aa * bd, bb * bb]]).T).T
+    terms = ((cc, -3.0 * bd, 12.0 * ae),
+             (2.0 * (c * cc), -9.0 * (c * bd), 27.0 * (e * bb),
+              27.0 * (a * d * d), -72.0 * (c * ae)),
+             (8.0 * ac, -3.0 * bb),
+             (64.0 * (aa * ae), -16.0 * (ac * ac), 16.0 * (bb * ac),
+              -16.0 * (aa * bd), -3.0 * (bb * bb)))
     # Summed term by term in a fixed order, so that a column's invariants do
     # not depend on the other columns (a matrix product's rounding does).
-    return (np.add.accumulate(terms, axis=1)[:, -1],
-            np.add.accumulate(np.abs(terms), axis=1)[:, -1])
+    return (np.array([sum(row[1:], row[0]) for row in terms]),
+            np.array([sum(map(abs, row[1:]), abs(row[0])) for row in terms]))
 
 
 def _real_root_count(unit: np.ndarray) -> np.ndarray:
@@ -139,13 +136,14 @@ def _real_root_count(unit: np.ndarray) -> np.ndarray:
     An invariant is sure when it exceeds ``_INVARIANT_REL`` times the sum of
     its terms' sizes.  With ``a = 0`` the root at infinity counts as real.
     """
-    (inv_i, inv_j, inv_p, inv_d), size = _invariants(unit)
+    (inv_i, inv_j, inv_p, inv_d), (size_i, size_j, size_p, size_d) = (
+        _invariants(unit))
     # 27 Delta = 4 I^3 - J^2.  With |error(I)| <= REL size(I) and likewise
     # for J, its error is below 4 REL (4 size(I)^3 + size(J)^2).
     disc = 4.0 * inv_i * inv_i * inv_i - inv_j * inv_j
-    disc_err = 4.0 * _INVARIANT_REL * (4.0 * size[0] * size[0] * size[0]
-                                       + size[1] * size[1])
-    bound_p, bound_d = _INVARIANT_REL * size[2:]
+    disc_err = 4.0 * _INVARIANT_REL * (4.0 * size_i * size_i * size_i
+                                       + size_j * size_j)
+    bound_p, bound_d = _INVARIANT_REL * size_p, _INVARIANT_REL * size_d
     # Delta < 0: two real roots.  Delta > 0: none if P > 0 or D > 0, four if
     # P < 0 and D < 0.  Delta = 0: a multiple root.
     two = disc < -disc_err
@@ -158,30 +156,31 @@ def _real_root_count(unit: np.ndarray) -> np.ndarray:
 def _largest_cubic_root(a, b):
     """The largest real root of ``w^3 - 3 a w - 2 b``, elementwise."""
     disc = b * b - a * a * a
-    root = np.sqrt(np.abs(disc))
+    root = np.sqrt(abs(disc))
     # One real root (disc > 0), by Cardano; u = 0 only where a = b = 0.
     u = np.cbrt(b + np.copysign(root, b))
     cardano = u + a / (u + (u == 0.0))
     # Three: 2 sqrt(a) cos(phi / 3), where cos(phi) = b / a^1.5.
-    trig = 2.0 * np.sqrt(np.abs(a)) * np.cos(np.arctan2(root, b) / 3.0)
-    return np.where(disc > 0.0, cardano, trig)
+    trig = 2.0 * np.sqrt(abs(a)) * np.cos(np.arctan2(root, b) / 3.0)
+    return _where(disc > 0.0, cardano, trig)
 
 
 def _quadratic_roots(mid, c):
-    """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, stacked ``(2k, ...)``
-    from ``(k, ...)`` inputs."""
+    """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, as two pairs."""
     disc = mid * mid - c
-    root = np.sqrt(np.abs(disc))
-    real = np.where(disc >= 0.0, root, 0.0)
+    root = np.sqrt(abs(disc))
+    real = _where(disc >= 0.0, root, 0.0)
     im = root - real
-    return np.concatenate([mid + real, mid - real]), np.concatenate([im, im])
+    return (mid + real, im), (mid - real, im)
 
 
 # Overflow near a huge or tiny root leaves a row no root there: it falls back.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
-    """Kept real roots ``(degree, ...)`` of ``(degree + 1, ...)`` columns."""
-    monic = sub[:degree] / sub[degree]
+def _solve(sub: np.ndarray, scale, degree: int) -> list:
+    """Kept real roots of ``(degree + 1, ...)`` columns, NaN where none: a
+    list of ``degree``, each carried alone (a numpy scalar for one row)."""
+    lead, first, *rest = sub[::-1]
+    monic = [c / lead for c in sub[:degree]]
     if degree == 3:
         # Cardano: t = w + shift gives w^3 + p w + q(shift); its largest real
         # root w0 splits off w^2 + w0 w + (p + w0^2).
@@ -190,9 +189,7 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
         p = a1 - 3.0 * shift * shift
         w = _largest_cubic_root(
             p / -3.0, -0.5 * (a0 + shift * (a1 + shift * (a2 + shift))))
-        re, im = _quadratic_roots(-0.5 * w[None], (p + w * w)[None])
-        re = np.concatenate([w[None], re])
-        im = np.concatenate([0.0 * w[None], im])
+        seeds = [(w, 0.0), *_quadratic_roots(-0.5 * w, p + w * w)]
     else:
         # Ferrari: t = y + shift gives y^4 + p y^2 + q y + r.  Its resolvent
         # z^3 + 2p z^2 + (p^2 - 4r) z - q^2 has a root z = (w - 2p) / 3 >= 0,
@@ -209,32 +206,31 @@ def _solve(sub: np.ndarray, scale: np.ndarray, degree: int) -> np.ndarray:
         z = np.maximum((w - 2.0 * p) / 3.0, 0.0)
         s = np.sqrt(z)
         # s >= 0, so s + (s == 0) is s with 0 replaced by 1.
-        half = np.array([-0.5, 0.5])
-        re, im = _quadratic_roots(
-            np.multiply.outer(half, s),
-            0.5 * (p + z) + np.multiply.outer(half, q / (s + (s == 0.0))))
-    t = re + shift
-    t[im > _REALISH_REL * (1.0 + np.abs(t))] = np.nan
-    # Two Newton steps by Horner from the leading coefficient down; its first
-    # step (slope 0, value lead) is folded in, exact wherever t is finite.
-    lead, first, *rest = sub[::-1]
-    for _ in range(2):
-        slope, value = lead, lead * t + first
+        half_pz, half_qs = 0.5 * (p + z), 0.5 * (q / (s + (s == 0.0)))
+        seeds = [*_quadratic_roots(-0.5 * s, half_pz - half_qs),
+                 *_quadratic_roots(0.5 * s, half_pz + half_qs)]
+    kept = []
+    for re, im in seeds:
+        t = re + shift
+        t = _where(im > _REALISH_REL * (1.0 + abs(t)), np.nan, t)
+        # Two Newton steps by Horner from the leading coefficient down; its
+        # first step (slope 0, value lead) is folded in, exact for finite t.
+        for _ in range(2):
+            slope, value = lead, lead * t + first
+            for c in rest:
+                slope = slope * t + value
+                value = value * t + c
+            step = value / _where(slope == 0.0, np.inf, slope)
+            t = t - step
+        value = lead * t + first
         for c in rest:
-            slope = slope * t + value
             value = value * t + c
-        slope[slope == 0.0] = np.inf
-        step = value / slope
-        t = t - step
-    value = lead * t + first
-    for c in rest:
-        value = value * t + c
-    growth = 1.0 + np.abs(t)
-    kept = (np.isfinite(value)
-            & (np.abs(value) <= _RESIDUAL_REL * scale * growth ** degree)
-            & (np.abs(step) <= _STEP_REL * growth))
-    t[~kept] = np.nan
-    return t
+        growth, size = 1.0 + abs(t), abs(value)
+        # np.power as in a batch: a numpy scalar's ** may round otherwise.
+        ok = ((size < np.inf) & (abs(step) <= _STEP_REL * growth)
+              & (size <= _RESIDUAL_REL * scale * np.power(growth, degree)))
+        kept.append(_where(ok, t, np.nan))
+    return kept
 
 
 def _horner(c, x: float) -> tuple[float, float]:
@@ -329,16 +325,18 @@ def quartic_real_roots(coeffs):
     ``coeffs`` is one row ``(5,)`` or ``n`` rows ``(n, 5)``.  Returns
     ``(roots, multiplicities, degree, certified)``: the first two are ``(4,)``
     or ``(n, 4)``, each row sorted ascending and padded with NaN and 0, the
-    last two 0-d or ``(n,)``.  A row gets the same bits alone as in any batch.
-    Certified rows have simple roots; the others, and all of degree below 3,
-    are solved from the signs at their critical points (a zero row raises
-    :class:`DegenerateInput`).  Only an exact 0 lowers the degree, and in the
-    fallback one below ``_FAR_REL`` of the row's largest.
+    last two 0-d or ``(n,)``.  A row gets the same bits alone, root by root on
+    numpy scalars, as in any batch.  Certified rows have simple roots; the
+    others, and all of degree below 3, are solved from the signs at their
+    critical points (a zero row raises :class:`DegenerateInput`).  Only an
+    exact 0 lowers the degree, and in the fallback one below ``_FAR_REL`` of
+    the row's largest.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
     roots = np.full((4, *cols.shape[1:]), np.nan)
-    scale = np.abs(cols).max(axis=0)
-    degree = np.where(cols[4] != 0.0, 4, 3 * (cols[3] != 0.0))
+    scale = np.maximum.reduce(abs(cols))
+    lead = cols[4] != 0.0
+    degree = 3 * (lead | (cols[3] != 0.0)) + lead
     for d in (4, 3):
         rows = degree == d
         hits = np.count_nonzero(rows)
@@ -347,19 +345,21 @@ def quartic_real_roots(coeffs):
         elif hits:
             idx = np.flatnonzero(rows)
             roots[:d, idx] = _solve(cols[: d + 1, idx], scale[idx], d)
-    roots = np.sort(roots, axis=0)
+    roots.sort(axis=0)
     close = roots[1:] - roots[:-1] <= _SEPARATION_REL * (
-        1.0 + np.abs(roots[:-1]))
+        1.0 + abs(roots[:-1]))
     # Scaling by a power of two is exact and keeps the invariants clear of
     # overflow and underflow.
     unit = np.ldexp(cols, -np.frexp(scale)[1])
     count = _real_root_count(unit) - (4 - degree)
-    certified = ((count == np.isfinite(roots).sum(axis=0))
-                 & ~close.any(axis=0) & (degree > 0))
-    roots = roots.T
-    mults = (roots == roots).astype(np.int64)
-    for i in np.flatnonzero(~certified):
-        i = np.unravel_index(i, certified.shape)  # () for one row
+    real = roots == roots
+    certified = ((count == np.add.reduce(real))
+                 & ~np.logical_or.reduce(close) & (degree > 0))
+    roots, mults = roots.T, real.T.astype(np.int64)
+    failed = ([()] * (not certified) if certified.ndim == 0  # one row: ()
+              else np.flatnonzero(~certified))
+    for i in failed:
+        degree = np.asarray(degree)  # for one row, a writable 0-d copy
         found, found_mults, degree[i] = _fallback_roots(cols.T[i])
         roots[i] = (found + [np.nan] * 4)[:4]
         mults[i] = (found_mults + [0] * 4)[:4]
@@ -371,8 +371,8 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
     # Scaling the design leaves its singular angles alone, and scaling by a
     # power of two is exact short of the subnormals: with the largest
     # dimension in [0.5, 1) the quartic can neither overflow nor vanish.
-    dims = np.array([g.h1, g.h2, g.h3, g.l1, g.l2])
-    h1, h2, h3, l1, l2 = dims = np.ldexp(dims, -np.frexp(dims.max())[1])
+    dims = (g.h1, g.h2, g.h3, g.l1, g.l2)
+    h1, h2, h3, l1, l2 = dims = np.ldexp(dims, -math.frexp(max(dims))[1])
     half = 0.5 * math.pi
     # Flat with B = D = 0 (dimensions 1e300 apart), the kernel raises.
     if h1 == h3 == 0.0 and (h2 * (l1 + l2) or l1 * l2):
@@ -383,10 +383,10 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
             loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4
     else:
         roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
-        real = mults > 0
+        real = np.count_nonzero(mults)  # the roots lead, padding follows
         # The sweep takes the same arctangent, so both agree to the last bit.
-        loop1 = (2.0 * np.arctan(roots[real])).tolist()
-        mults = mults[real].tolist()
+        loop1 = (2.0 * np.arctan(roots[:real])).tolist()
+        mults = mults[:real].tolist()
         # t = tan(alpha/2) cannot reach alpha = pi, where the condition
         # equals the leading coefficient: each vanishing one is a root there.
         if degree < 4:

@@ -394,6 +394,28 @@ def test_default_grid_falls_back_only_on_its_triple_roots():
     assert all(3 in row for row in mults[fallback].tolist())
 
 
+def design_box(rng, size):
+    """``(h1, h2, l1, lam)`` of ``size`` designs drawn from the sweep's box,
+    as ``perfbench/designs.py`` draws them (``h3 = h1``, ``l2 = lam l1``)."""
+    return (rng.uniform(0.0, 1.0, size), rng.uniform(0.1, 2.0, size),
+            rng.uniform(0.05, 4.45, size), rng.uniform(0.05, 1.0, size))
+
+
+def test_fallback_counts_on_seeded_designs_are_pinned():
+    # Each uncertified row costs the fallback about 1 ms; a kernel change
+    # that quietly sends more rows there shows here before it shows in time.
+    # Log-uniform designs, scaled by a power of two as singular_angles does.
+    rng = np.random.default_rng(1)
+    dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (20_000, 5)))
+    dims = np.ldexp(dims, -np.frexp(dims.max(axis=1))[1][:, None])
+    certified = quartic_real_roots(quartic_coefficients(*dims.T))[3]
+    assert np.count_nonzero(~certified) == 141
+    h1, h2, l1, lam = design_box(np.random.default_rng(1), 60_000)
+    certified = quartic_real_roots(
+        quartic_coefficients(h1, h2, h1, l1, lam * l1))[3]
+    assert np.count_nonzero(~certified) == 20
+
+
 def test_certified_roots_match_oracle_across_magnitudes():
     # Dimensions spanning six decades give quartics whose roots span many
     # more; closed-form starting points lose digits there, so a certified
@@ -413,21 +435,36 @@ def test_certified_roots_match_oracle_across_magnitudes():
 
 
 def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
-    # singular_angles runs its row unbatched; on the log-uniform designs
-    # above (some of them uncertified) it must give the bits of a batch of
-    # one, from the same power-of-two scaled dimensions.
+    # singular_angles runs its row root by root on numpy scalars; on the
+    # log-uniform designs above (some of them uncertified), on seeded designs
+    # of the sweep's box, and on designs with h2 = 2 h1 exactly (degree 3)
+    # or a few ulp off it, it must give the bits of a batch of one, from the
+    # same power-of-two scaled dimensions.
     rng = np.random.default_rng(1)
-    dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))
-    for row in dims:
+    dims = [np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))]
+    h1, h2, l1, lam = design_box(rng, 200)
+    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
+    h1, _, l1, lam = design_box(rng, 90)
+    ulps = np.repeat(np.arange(-4, 5), 10)  # ten designs per offset
+    h2 = 2.0 * h1
+    for step in range(1, 5):
+        h2 = np.where(ulps >= step, np.nextafter(h2, 3.0), h2)
+        h2 = np.where(ulps <= -step, np.nextafter(h2, 0.0), h2)
+    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
+    degrees = []
+    for row in np.concatenate(dims):
         unit = np.ldexp(row, -np.frexp(row.max())[1])
         roots, mults, degree, _ = (v[0] for v in quartic_real_roots(
             quartic_coefficients(*unit)[None, :]))
         at_pi = [math.pi] * int(degree < 4)
+        degrees.append(int(degree))
         found = singular_angles(SegmentGeometry(*row))
         assert found.loop1 == tuple(
             (2.0 * np.arctan(roots[mults > 0])).tolist() + at_pi)
         assert found.multiplicities == tuple(
             mults[mults > 0].tolist() + [4 - int(degree)] * len(at_pi))
+    # The ten designs with h2 = 2 h1 exactly are cubics.
+    assert degrees[-50:-40] == [3] * 10
 
 
 def oracle_roots(g):
