@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SegmentGeometry, _cable_lengths_raw, cable_lengths
+from .geometry import (SegmentGeometry, _cable_lengths_raw, _Record,
+                       cable_lengths)
 from .singularity import singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
@@ -64,8 +64,7 @@ def _check_springs(rest_fraction: float, *stiffnesses: float) -> None:
             f"rest_fraction must lie in (0, 1), got {rest_fraction!r}")
 
 
-@dataclass(frozen=True)
-class SpringParams:
+class SpringParams(_Record):
     """Spring constants and the derived rest length ``l0``."""
 
     k1: float
@@ -86,8 +85,7 @@ class SpringParams:
                    l0=rest_length(g, rest_fraction))
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
+class EnergyProfile(_Record):
     """Sampled energy landscape over a symmetric angle range."""
 
     alphas: np.ndarray
@@ -95,8 +93,7 @@ class EnergyProfile:
     alpha_range: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class StabilityClass:
+class StabilityClass(_Record):
     """Home-configuration stability verdict with its numerical evidence."""
 
     stability: Stability

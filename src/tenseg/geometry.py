@@ -27,7 +27,6 @@ each level scaled by the taper ratio ``lam = l2 / l1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +56,47 @@ def normalize_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class SegmentGeometry:
+class _Record:
+    """Base of the package's immutable records: the fields are a subclass's
+    own annotations, in order, with class-level values as defaults, and one
+    ``exec`` writes its ``__init__`` (which calls ``__post_init__``, if any)
+    and ``_values``, the field tuple that equality, hashing and repr use."""
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        values = "".join(f"self.{n}, " for n in names)
+        ns = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body}\n"
+             f"def _values(self): return ({values})", ns)
+        init = ns["__init__"]
+        init.__defaults__ = tuple(cls.__dict__[n] for n in names
+                                  if n in cls.__dict__)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__, cls._values, cls._fields = init, ns["_values"], names
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SegmentGeometry(_Record):
     """Dimensions of one segment.
 
     ``h1``, ``h2``, ``h3`` are the spine link lengths (``h1`` and ``h3`` may be
@@ -81,8 +119,7 @@ class SegmentGeometry:
         return self.l2 / self.l1
 
 
-@dataclass(frozen=True)
-class SegmentState:
+class SegmentState(_Record):
     """Joint state of one segment: the shared spine angle ``alpha``.
 
     ``alpha`` is wrapped to (-pi, pi] on construction.
@@ -94,8 +131,7 @@ class SegmentState:
         object.__setattr__(self, "alpha", normalize_angle(self.alpha))
 
 
-@dataclass(frozen=True)
-class SegmentPose:
+class SegmentPose(_Record):
     """All seven segment points, as 2-vectors in the base frame."""
 
     a1: np.ndarray
@@ -114,16 +150,14 @@ class SegmentPose:
         )
 
 
-@dataclass(frozen=True)
-class Frame2D:
+class Frame2D(_Record):
     """A planar frame: origin and orientation of a plate."""
 
     origin: np.ndarray
     theta: float
 
 
-@dataclass(frozen=True)
-class StackConfig:
+class StackConfig(_Record):
     """A three-segment stack: per-level geometries and states, base first."""
 
     segments: tuple[SegmentGeometry, SegmentGeometry, SegmentGeometry]

@@ -39,14 +39,13 @@ chunk size, and equal the scalar calls bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import (_STABILITY_CODES, Stability, _check_springs,
                      _energy_integral, _energy_lower_bound, _energy_raw,
                      _home_stability)
-from .geometry import _cable_lengths_raw
+from .geometry import _cable_lengths_raw, _Record
 from .singularity import (_flat_angle, _sign, quartic_coefficients,
                           quartic_real_roots)
 
@@ -76,8 +75,7 @@ class EmptyGrid(ValueError):
     """No feasible design exists on the requested grid."""
 
 
-@dataclass(frozen=True)
-class SpringSpec:
+class SpringSpec(_Record):
     """Spring law shared by every candidate design.
 
     The rest length itself is per-design (``rest_fraction`` times the home
@@ -92,8 +90,7 @@ class SpringSpec:
         _check_springs(self.rest_fraction, self.k1, self.k2)
 
 
-@dataclass(frozen=True)
-class DesignBounds:
+class DesignBounds(_Record):
     """The fixed design box with per-axis sample counts.
 
     The box itself is not configurable — it is the constraint set the search
@@ -137,8 +134,7 @@ class DesignBounds:
         return np.linspace(LAMBDA_RANGE[0], LAMBDA_RANGE[1], self.lambda_res)
 
 
-@dataclass(frozen=True)
-class DesignRecord:
+class DesignRecord(_Record):
     """Evaluation of one grid design.
 
     ``x`` is the design vector ``(h1, h2, h3, l1, lam)`` with ``h3 = h1`` and
@@ -161,8 +157,7 @@ class DesignRecord:
         return self.x[4]
 
 
-@dataclass(frozen=True)
-class OptimizationReport:
+class OptimizationReport(_Record):
     """Search outcome: the per-taper best designs and their trend curves.
 
     ``best`` holds one record per taper sample, ascending in ``lam``;

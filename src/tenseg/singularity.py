@@ -33,11 +33,11 @@ symmetric deflection range of the segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SegmentGeometry, _condition_terms, normalize_angle
+from .geometry import (SegmentGeometry, _condition_terms, _Record,
+                       normalize_angle)
 
 # Rounding bound of C - B relative to |B| + |C| (they take two and three
 # roundings), and of _flat_angle's ratio near 1 (it takes four).
@@ -67,8 +67,7 @@ class DegenerateInput(ValueError):
     """The quartic is identically zero: every angle is singular."""
 
 
-@dataclass(frozen=True)
-class SingularitySet:
+class SingularitySet(_Record):
     """Singular angles of both cable loops, sorted ascending in (-pi, pi].
 
     ``multiplicities`` aligns with ``loop1`` (loop 2 mirrors it); an even
@@ -114,7 +113,7 @@ def _flat_angle(h2, l1, l2):
 
 def _invariants(unit: np.ndarray):
     """``I``, ``J``, ``P``, ``D`` of each column's ``a t^4 + ... + e`` and the
-    sums of their terms' sizes, each ``(4, ...)`` from ``(5, ...)``."""
+    sums of their terms' sizes: two 4-tuples, from ``(5, ...)`` columns."""
     e, d, c, b, a = unit
     aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
     terms = ((cc, -3.0 * bd, 12.0 * ae),
@@ -125,8 +124,8 @@ def _invariants(unit: np.ndarray):
               -16.0 * (aa * bd), -3.0 * (bb * bb)))
     # Summed term by term in a fixed order, so that a column's invariants do
     # not depend on the other columns (a matrix product's rounding does).
-    return (np.array([sum(row[1:], row[0]) for row in terms]),
-            np.array([sum(map(abs, row[1:]), abs(row[0])) for row in terms]))
+    return (tuple(sum(row[1:], row[0]) for row in terms),
+            tuple(sum(map(abs, row[1:]), abs(row[0])) for row in terms))
 
 
 def _real_root_count(unit: np.ndarray) -> np.ndarray:

@@ -807,7 +807,8 @@ import sys
 import tenseg.cli
 code = tenseg.cli.main(sys.argv[1:])
 print(code, sorted({"concurrent.futures.process", "multiprocessing",
-                    "numpy.polynomial", "json"} & set(sys.modules)))
+                    "numpy.polynomial", "json", "dataclasses"}
+                   & set(sys.modules)))
 """
 
 
@@ -815,7 +816,8 @@ def test_optimize_loads_no_process_pool(tmp_path, small_resolutions):
     # The sweep runs in one process: neither the CLI nor a sweep imports the
     # pool's modules, and --workers is still accepted (and ignored).  The
     # energy rule is a table, so numpy.polynomial is not loaded either; json
-    # is, to read the config.
+    # is, to read the config.  The records are not dataclasses, so that
+    # module stays unloaded too (numpy does not import it).
     config = write_config(tmp_path, small_resolutions)
     result = subprocess.run(
         [sys.executable, "-c", MODULE_PROBE, "optimize", "--workers", "2",

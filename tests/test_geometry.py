@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 import conftest
 from conftest import (EPS, STABLE_FLAT, UNIT, cable_lengths_squared,
                       random_angle, random_geometry)
-from tenseg import (InvalidGeometry, InvalidRatio, SegmentGeometry,
-                    SegmentState, StackConfig, cable_lengths, normalize_angle,
-                    segment_points, singularity_condition, stack_forward,
-                    tapered_stack, validate_geometry)
+from tenseg import (DesignBounds, DesignRecord, EnergyProfile, Frame2D,
+                    InvalidFraction, InvalidGeometry, InvalidRatio,
+                    OptimizationReport, SegmentGeometry, SegmentPose,
+                    SegmentState, SingularitySet, SpringParams, SpringSpec,
+                    Stability, StabilityClass, StackConfig, cable_lengths,
+                    normalize_angle, segment_points, singularity_condition,
+                    stack_forward, tapered_stack, validate_geometry)
 
 # ---------------------------------------------------------------------------
 # validation
@@ -355,3 +358,163 @@ def test_stack_forward_composes_rigidly():
         assert frame.origin[0] == pytest.approx(position.real, abs=1e-12)
         assert frame.origin[1] == pytest.approx(position.imag, abs=1e-12)
         assert frame.theta == pytest.approx(normalize_angle(heading))
+
+
+# ---------------------------------------------------------------------------
+# the record contract, shared by every immutable record of the package
+
+VEC = np.array([0.0, 1.0])
+GEOMETRY = SegmentGeometry(0.5, 1.0, 0.5, 1.0, 0.5)
+WRAPPED = SegmentState(alpha=4.0)
+DESIGN = DesignRecord((0.1, 0.2, 0.1, 1.0, 0.5), 0.5, True, 1.0, 2.0, 0.5,
+                      1.5, Stability.STABLE, 0.25)
+# Each record with its repr, as the frozen dataclasses they replace wrote it.
+RECORDS = [
+    (GEOMETRY, "SegmentGeometry(h1=0.5, h2=1.0, h3=0.5, l1=1.0, l2=0.5)"),
+    (WRAPPED, "SegmentState(alpha=-2.2831853071795862)"),
+    (SegmentPose(VEC, VEC, VEC, VEC, VEC, VEC, VEC),
+     "SegmentPose(a1=array([0., 1.]), a2=array([0., 1.]), "
+     "b0=array([0., 1.]), c0=array([0., 1.]), d0=array([0., 1.]), "
+     "d1=array([0., 1.]), d2=array([0., 1.]))"),
+    (Frame2D(VEC, 0.25), "Frame2D(origin=array([0., 1.]), theta=0.25)"),
+    (StackConfig((GEOMETRY,) * 3, (WRAPPED,) * 3),
+     "StackConfig(segments=("
+     + ", ".join(["SegmentGeometry(h1=0.5, h2=1.0, h3=0.5, l1=1.0, l2=0.5)"]
+                 * 3)
+     + "), states=("
+     + ", ".join(["SegmentState(alpha=-2.2831853071795862)"] * 3) + "))"),
+    (SingularitySet((-1.0, 1.0), (-1.0, 1.0), (1, 1), 1.0),
+     "SingularitySet(loop1=(-1.0, 1.0), loop2=(-1.0, 1.0), "
+     "multiplicities=(1, 1), alpha_sing=1.0)"),
+    (SpringParams(1.0, 2.0, 0.4, 0.8),
+     "SpringParams(k1=1.0, k2=2.0, rest_fraction=0.4, l0=0.8)"),
+    (EnergyProfile(VEC, VEC, (-1.0, 1.0)),
+     "EnergyProfile(alphas=array([0., 1.]), energies=array([0., 1.]), "
+     "alpha_range=(-1.0, 1.0))"),
+    (StabilityClass(Stability.STABLE, 0.5, 1e-9),
+     "StabilityClass(stability=<Stability.STABLE: 'Stable'>, curvature=0.5, "
+     "threshold=1e-09)"),
+    (SpringSpec(), "SpringSpec(k1=1.0, k2=1.0, rest_fraction=0.4)"),
+    (DesignBounds(),
+     "DesignBounds(h1_res=11, h2_res=21, l1_res=45, lambda_res=20)"),
+    (DESIGN,
+     "DesignRecord(x=(0.1, 0.2, 0.1, 1.0, 0.5), l2=0.5, feasible=True, "
+     "alpha_sing=1.0, total_energy=2.0, energy_at_zero=0.5, "
+     "energy_at_sing=1.5, stability=<Stability.STABLE: 'Stable'>, "
+     "curvature=0.25)"),
+    (OptimizationReport(DesignBounds(), SpringSpec(), (DESIGN,),
+                        ((0.5, 1.0, 0.5),), ((0.5, 2.0),), 1.0, 10, 8),
+     "OptimizationReport(bounds=DesignBounds(h1_res=11, h2_res=21, "
+     "l1_res=45, lambda_res=20), springs=SpringSpec(k1=1.0, k2=1.0, "
+     "rest_fraction=0.4), best=(DesignRecord(x=(0.1, 0.2, 0.1, 1.0, 0.5), "
+     "l2=0.5, feasible=True, alpha_sing=1.0, total_energy=2.0, "
+     "energy_at_zero=0.5, energy_at_sing=1.5, "
+     "stability=<Stability.STABLE: 'Stable'>, curvature=0.25),), "
+     "lambda_curve=((0.5, 1.0, 0.5),), energy_curve=((0.5, 2.0),), "
+     "max_alpha_sing=1.0, n_designs=10, n_feasible=8)"),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+# Records whose fields are all hashable.
+HASHABLE = [r for r, _ in RECORDS
+            if not isinstance(r, (SegmentPose, Frame2D, EnergyProfile))]
+
+
+def fields_of(record):
+    return tuple(record.__dict__.values())
+
+
+def test_records_cover_every_record_type():
+    assert len(set(RECORD_IDS)) == 13
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+def test_record_repr_is_unchanged(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, _", RECORDS, ids=RECORD_IDS)
+def test_record_positional_and_keyword_construction_agree(record, _):
+    cls, values = type(record), fields_of(record)
+    names = tuple(record.__dict__)
+    by_keyword = cls(**dict(zip(names, values)))
+    by_position = cls(*values)
+    assert repr(by_keyword) == repr(by_position) == repr(record)
+    assert tuple(by_keyword.__dict__) == names
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, not_a_field=1)
+
+
+@pytest.mark.parametrize("record, _", RECORDS, ids=RECORD_IDS)
+def test_record_fields_can_be_neither_set_nor_deleted(record, _):
+    name = next(iter(record.__dict__))
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1.0
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("record", HASHABLE, ids=type)
+def test_equal_records_are_equal_and_hash_alike(record):
+    twin = type(record)(*fields_of(record))
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record) == hash(fields_of(record))
+
+
+def test_records_of_different_types_never_compare_equal():
+    spec = SpringSpec(1.0, 1.0, 0.4)
+    verdict = StabilityClass(1.0, 1.0, 0.4)
+    assert fields_of(spec) == fields_of(verdict)
+    assert spec != verdict and verdict != spec and not spec == verdict
+    assert spec != (1.0, 1.0, 0.4) and SegmentState(0.5) != 0.5
+    assert len({spec, verdict}) == 2
+    stack = StackConfig((GEOMETRY,) * 3, (WRAPPED,) * 3)
+    assert stack != Frame2D(stack.segments, stack.states)
+
+
+def test_records_holding_arrays_do_not_hash():
+    for record, _ in RECORDS:
+        if record not in HASHABLE:
+            with pytest.raises(TypeError):
+                hash(record)
+
+
+def test_record_defaults_and_validation():
+    assert fields_of(SpringSpec()) == (1.0, 1.0, 0.4)
+    assert SpringSpec(k2=2.0) == SpringSpec(1.0, 2.0, 0.4)
+    assert fields_of(DesignBounds()) == (11, 21, 45, 20)
+    assert DesignBounds(lambda_res=3).resolutions == (11, 21, 45, 3)
+    assert SegmentState(alpha=4.0).alpha == 4.0 - 2.0 * math.pi
+    assert SegmentState(alpha=-math.pi).alpha == math.pi
+    cases = [
+        (lambda: SegmentGeometry(1, 0, 1, 1, 1), InvalidGeometry,
+         "h2: must be > 0, got 0"),
+        (lambda: StackConfig((GEOMETRY,) * 2, (WRAPPED,) * 3), ValueError,
+         "a stack has exactly three segments and three states"),
+        (lambda: SpringParams(1.0, 1.0, 0.4, 0.0), ValueError,
+         "l0 must be > 0, got 0.0"),
+        (lambda: SpringParams(-1.0, 1.0, 0.4, 1.0), ValueError,
+         "k1 must be > 0, got -1.0"),
+        (lambda: SpringSpec(rest_fraction=1.0), InvalidFraction,
+         "rest_fraction must lie in (0, 1), got 1.0"),
+        (lambda: SpringSpec(k2=0.0), ValueError, "k2 must be > 0, got 0.0"),
+        (lambda: DesignBounds(h1_res=1), ValueError,
+         "h1_res must be an integer >= 2, got 1"),
+        (lambda: DesignBounds(h2_res=2.0), ValueError,
+         "h2_res must be an integer >= 2, got 2.0"),
+        (lambda: DesignBounds(10**4, 10**4, 10**4, 2), ValueError,
+         "a grid of 2000000000000 designs exceeds the limit of 100000000"),
+        (lambda: SegmentGeometry(1.0), TypeError,
+         "SegmentGeometry.__init__() missing 4 required positional "
+         "arguments: 'h2', 'h3', 'l1', and 'l2'"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as raised:
+            build()
+        assert type(raised.value) is error and str(raised.value) == message

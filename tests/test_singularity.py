@@ -366,11 +366,14 @@ def test_kernel_rows_do_not_depend_on_the_batch():
     assert {3, 4} <= set(degree.tolist())
     assert not certified.all()
     for k, row in enumerate(coeffs):
+        # The sums, then the sizes: each of the four invariants, column k.
         for whole, alone, single in zip(
                 invariants, singularity_module._invariants(unit[:, k:k + 1]),
                 singularity_module._invariants(unit[:, k])):
-            assert np.array_equal(whole[:, k], alone[:, 0])
-            assert np.array_equal(whole[:, k], single)
+            assert len(whole) == len(alone) == len(single) == 4
+            for j in range(4):
+                assert np.array_equal(whole[j][k], alone[j][0])
+                assert np.array_equal(whole[j][k], single[j])
         # A batch of one, and the unbatched (5,) row singular_angles passes.
         for one in ([v[0] for v in quartic_real_roots(row[None, :])],
                     quartic_real_roots(row)):
