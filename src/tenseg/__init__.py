@@ -15,7 +15,7 @@ from .geometry import (Frame2D, InvalidGeometry, InvalidRatio, SegmentGeometry,
                        normalize_angle, segment_points, singularity_condition,
                        stack_forward, tapered_stack, validate_geometry)
 from .optimizer import (DesignBounds, DesignRecord, EmptyGrid,
-                        OptimizationReport, SpringSpec, optimize)
+                        OptimizationReport, optimize)
 from .singularity import DegenerateInput, SingularitySet, singular_angles
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "normalize_angle", "segment_points", "singularity_condition",
     "stack_forward", "tapered_stack", "validate_geometry",
     "DesignBounds", "DesignRecord", "EmptyGrid", "OptimizationReport",
-    "SpringSpec", "optimize",
+    "optimize",
     "DegenerateInput", "SingularitySet", "singular_angles",
     "__version__",
 ]

@@ -31,16 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .energy import (SpringParams, classify_home_stability, energy,
-                     energy_profile, total_energy)
+                     energy_profile, rest_length, total_energy)
 from .geometry import (InvalidGeometry, SegmentGeometry, SegmentState,
                        cable_lengths, segment_points, singularity_condition,
                        stack_forward, tapered_stack)
 from .optimizer import (DesignBounds, EmptyGrid, H1_RANGE, H2_RANGE, L1_RANGE,
-                        LAMBDA_RANGE, SpringSpec, optimize)
+                        LAMBDA_RANGE, optimize)
 from .singularity import DegenerateInput, singular_angles
 
-_GEOMETRY_FIELDS = ("h1", "h2", "h3", "l1", "l2")
-_SPRING_FIELDS = ("k1", "k2", "rest_fraction")
 _RESOLUTION_FIELDS = ("h1", "h2", "l1", "lambda")
 _BOUNDS_BOX = {"l1": L1_RANGE, "h1": H1_RANGE, "h2": H2_RANGE,
                "lambda": LAMBDA_RANGE}
@@ -109,10 +107,11 @@ def _pair(value, field: str) -> tuple[float, float]:
 
 
 def _geometry(value) -> SegmentGeometry:
-    section = _object(value, "geometry", _GEOMETRY_FIELDS, _GEOMETRY_FIELDS)
+    fields = SegmentGeometry._fields
+    section = _object(value, "geometry", fields, fields)
     try:
         return SegmentGeometry(**{key: _as_number(section[key], f"geometry.{key}")
-                                  for key in _GEOMETRY_FIELDS})
+                                  for key in fields})
     except InvalidGeometry as exc:
         raise ConfigError(f"geometry.{exc.field}", exc.reason) from exc
 
@@ -127,11 +126,11 @@ def _alphas(value) -> list[float]:
     return alphas
 
 
-def _springs(value) -> SpringSpec:
+def _springs(value) -> SpringParams:
     values = {key: _as_number(item, f"springs.{key}") for key, item
-              in _object(value, "springs", _SPRING_FIELDS).items()}
+              in _object(value, "springs", SpringParams._fields).items()}
     try:
-        return SpringSpec(**values)
+        return SpringParams(**values)
     except ValueError as exc:
         raise ConfigError("springs", str(exc)) from exc
 
@@ -232,7 +231,7 @@ def _size(g: SegmentGeometry, reach: float = 1.0) -> float:
     return size
 
 
-def _check_energy_bound(spec: SpringSpec, size: float, field: str) -> None:
+def _check_energy_bound(spec: SpringParams, size: float, field: str) -> None:
     """Cables and rest length are shorter than ``size``, so every energy and
     the home curvature stay below ``32 (k1 + k2) size**2``, if that is finite."""
     if not math.isfinite(32.0 * (spec.k1 + spec.k2) * size * size):
@@ -342,18 +341,17 @@ def cmd_singularities(config: dict, opts) -> int:
 
 def cmd_energy_profile(config: dict, opts) -> int:
     g = _required(config, "geometry")
-    spec = config.get("springs", SpringSpec())
+    springs = config.get("springs", SpringParams())
     try:
         # An overflowing home cable length is reported below, not warned of.
         with np.errstate(over="ignore", invalid="ignore"):
-            springs = SpringParams.for_geometry(g, spec.k1, spec.k2,
-                                                spec.rest_fraction)
+            rest_length(g, springs.rest_fraction)
     except ValueError as exc:
-        # The spring constants are checked already; only the rest length,
-        # a fraction of the home cable length, can still be out of range.
+        # The springs are checked already; only the rest length, a fraction
+        # of the home cable length, can still be out of range.
         raise ConfigError("geometry", f"no finite spring rest length: "
                           f"{exc}") from exc
-    _check_energy_bound(spec, _size(g), "geometry")
+    _check_energy_bound(springs, _size(g), "geometry")
 
     alpha_sing = singular_angles(g).alpha_sing
     if not alpha_sing and "range" not in config:  # None, or singular at home
@@ -379,7 +377,7 @@ def cmd_energy_profile(config: dict, opts) -> int:
 
 
 def cmd_optimize(config: dict, opts) -> int:
-    springs = config.get("springs", SpringSpec())
+    springs = config.get("springs", SpringParams())
     _check_energy_bound(springs, _BOX_SIZE, "springs")
     report = optimize(bounds=config.get("resolutions"), springs=springs)
 

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .geometry import (SegmentGeometry, _cable_lengths_raw, _Record,
-                       cable_lengths)
+from .geometry import (SegmentGeometry, _cable_lengths_raw, _home_length,
+                       _Record)
 from .singularity import singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
@@ -65,24 +65,22 @@ def _check_springs(rest_fraction: float, *stiffnesses: float) -> None:
 
 
 class SpringParams(_Record):
-    """Spring constants and the derived rest length ``l0``."""
+    """The spring law of every design: stiffnesses ``k1``, ``k2`` and the
+    rest length's fraction of the home cable length (:func:`rest_length`)."""
 
-    k1: float
-    k2: float
-    rest_fraction: float
-    l0: float
+    k1: float = 1.0
+    k2: float = 1.0
+    rest_fraction: float = 0.4
 
     def __post_init__(self):
         _check_springs(self.rest_fraction, self.k1, self.k2)
-        if not (self.l0 > 0.0 and math.isfinite(self.l0)):
-            raise ValueError(f"l0 must be > 0, got {self.l0!r}")
 
     @classmethod
     def for_geometry(cls, g: SegmentGeometry, k1: float = 1.0, k2: float = 1.0,
                      rest_fraction: float = 0.4) -> "SpringParams":
-        """Springs with ``l0`` set to ``rest_fraction`` of the home cable length."""
-        return cls(k1=k1, k2=k2, rest_fraction=rest_fraction,
-                   l0=rest_length(g, rest_fraction))
+        """Springs whose rest length on ``g`` (:func:`rest_length`) is valid."""
+        rest_length(g, rest_fraction)
+        return cls(k1, k2, rest_fraction)
 
 
 class EnergyProfile(_Record):
@@ -106,10 +104,13 @@ def rest_length(g: SegmentGeometry, fraction: float) -> float:
 
     Both cables have the same home length by mirror symmetry.  Raises
     :class:`InvalidFraction` unless ``0 < fraction < 1`` (the springs must be
-    stretched at home).
+    stretched at home), and ``ValueError`` unless the result is > 0 and finite.
     """
     _check_springs(fraction)
-    return fraction * float(cable_lengths(g, 0.0)[0])
+    l0 = fraction * float(_home_length(g.h1, g.h2, g.h3, g.l1, g.l2))
+    if not (l0 > 0.0 and math.isfinite(l0)):
+        raise ValueError(f"l0 must be > 0, got {l0!r}")
+    return l0
 
 
 def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
@@ -120,8 +121,9 @@ def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
 
 def energy(g: SegmentGeometry, springs: SpringParams, alpha):
     """Elastic energy at ``alpha`` (scalar or ndarray)."""
-    return _energy_raw(g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0,
-                       springs.k1, springs.k2, alpha)
+    return _energy_raw(g.h1, g.h2, g.h3, g.l1, g.l2,
+                       rest_length(g, springs.rest_fraction), springs.k1,
+                       springs.k2, alpha)
 
 
 def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
@@ -141,8 +143,8 @@ def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
                 "design is never singular; pass an explicit alpha_range")
         alpha_range = (-alpha_sing, alpha_sing)
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
-    if not (lo < hi):
-        raise ValueError(f"empty angle range ({lo!r}, {hi!r})")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"empty or unbounded angle range ({lo!r}, {hi!r})")
     alphas = np.linspace(lo, hi, n)
     return EnergyProfile(alphas=alphas, energies=energy(g, springs, alphas),
                          alpha_range=(lo, hi))
@@ -287,7 +289,8 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
 def _one_row(g: SegmentGeometry, springs: SpringParams) -> np.ndarray:
     """``(h1, h2, h3, l1, l2, l0)`` of one design: unpacked, numpy scalars
     that keep numpy's overflow semantics."""
-    return np.array([g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0])
+    return np.array([g.h1, g.h2, g.h3, g.l1, g.l2,
+                     rest_length(g, springs.rest_fraction)])
 
 
 def total_energy(g: SegmentGeometry, springs: SpringParams,

@@ -32,8 +32,6 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-_DIMENSION_FIELDS = ("h1", "h2", "h3", "l1", "l2")
-
 
 class InvalidGeometry(ValueError):
     """A segment dimension violates the validity constraints."""
@@ -175,7 +173,7 @@ def validate_geometry(g: SegmentGeometry) -> SegmentGeometry:
     positive, and every dimension finite.  Raises :class:`InvalidGeometry`
     naming the offending field otherwise.
     """
-    for name in _DIMENSION_FIELDS:
+    for name in SegmentGeometry._fields:
         value = getattr(g, name)
         if not math.isfinite(value):
             raise InvalidGeometry(name, f"must be finite, got {value!r}")
@@ -206,6 +204,12 @@ def _cable_lengths_raw(h1, h2, h3, l1, l2, alpha):
     rho1 = np.hypot(d0x - l2 * cos_2a + l1, d0y - l2 * sin_2a)
     rho2 = np.hypot(d0x + l2 * cos_2a - l1, d0y + l2 * sin_2a)
     return rho1, rho2
+
+
+def _home_length(h1, h2, h3, l1, l2):
+    """Both cables' length at ``alpha = 0``, where ``d1 - a1 = (l1 - l2,
+    h1 + h2 + h3)``: ``_cable_lengths_raw`` there, bit for bit."""
+    return np.hypot(l1 - l2, h1 + h2 + h3)
 
 
 def _spine(g: SegmentGeometry, alpha: float):

@@ -42,10 +42,10 @@ import math
 
 import numpy as np
 
-from .energy import (_STABILITY_CODES, Stability, _check_springs,
+from .energy import (_STABILITY_CODES, SpringParams, Stability,
                      _energy_integral, _energy_lower_bound, _energy_raw,
                      _home_stability)
-from .geometry import _cable_lengths_raw, _Record
+from .geometry import _home_length, _Record
 from .singularity import (_flat_angle, _sign, quartic_coefficients,
                           quartic_real_roots)
 
@@ -73,21 +73,6 @@ LAMBDA_RANGE = (0.05, 1.0)
 
 class EmptyGrid(ValueError):
     """No feasible design exists on the requested grid."""
-
-
-class SpringSpec(_Record):
-    """Spring law shared by every candidate design.
-
-    The rest length itself is per-design (``rest_fraction`` times the home
-    cable length), so only the stiffnesses and the fraction are global.
-    """
-
-    k1: float = 1.0
-    k2: float = 1.0
-    rest_fraction: float = 0.4
-
-    def __post_init__(self):
-        _check_springs(self.rest_fraction, self.k1, self.k2)
 
 
 class DesignBounds(_Record):
@@ -166,7 +151,7 @@ class OptimizationReport(_Record):
     """
 
     bounds: DesignBounds
-    springs: SpringSpec
+    springs: SpringParams
     best: tuple[DesignRecord, ...]
     lambda_curve: tuple[tuple[float, float, float], ...]
     energy_curve: tuple[tuple[float, float], ...]
@@ -296,13 +281,13 @@ def _score_grid(axes) -> np.ndarray:
 
 
 def optimize(bounds: DesignBounds | None = None,
-             springs: SpringSpec | None = None) -> OptimizationReport:
+             springs: SpringParams | None = None) -> OptimizationReport:
     """Sweep the design grid and report the best design per taper ratio.
 
     Raises :class:`EmptyGrid` when no feasible design exists.
     """
     bounds = bounds or DesignBounds()
-    springs = springs or SpringSpec()
+    springs = springs or SpringParams()
 
     # The axes are built once per call, so a changed axis reaches every pass.
     axes = (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
@@ -323,7 +308,7 @@ def optimize(bounds: DesignBounds | None = None,
     l2 = lam * l1
     alpha_sing = score[ties]
     k1, k2 = springs.k1, springs.k2
-    l0 = springs.rest_fraction * _cable_lengths_raw(h1, h2, h1, l1, l2, 0.0)[0]
+    l0 = springs.rest_fraction * _home_length(h1, h2, h1, l1, l2)
     dims = np.stack((h1, h2, h1, l1, l2, l0))
     bound = _energy_lower_bound(*dims, k1, k2, alpha_sing)
     # Per taper (the ties are taper-major: one slice, one range), integrate

@@ -59,8 +59,10 @@ _SEPARATION_REL = 1e-6
 # each takes at most a dozen roundings, so this is over 20 times generous.
 _INVARIANT_REL = 4e-14
 # |p(x)| <= _SIGN_REL * len(p) * sum(|p_k| |x|^k) may be rounding alone:
-# Horner's rule rounds 2 * degree times, and a root is known to a float.
-_SIGN_REL = 4e-16
+# Horner's rule rounds 2 * degree times, so its error is below 2 * degree *
+# eps/2 <= _SIGN_REL * len(p) times the sum.  A wider margin would call a
+# critical point a multiple root where the condition is beyond its bound.
+_SIGN_REL = 2e-16
 
 
 class DegenerateInput(ValueError):

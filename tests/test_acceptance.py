@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from tenseg import (DesignBounds, SegmentGeometry, SpringParams, SpringSpec,
+from tenseg import (DesignBounds, SegmentGeometry, SpringParams,
                     cable_lengths, classify_home_stability, energy, energy_profile, optimize,
                     singular_angles, singularity_condition, total_energy)
 from tenseg.cli import main
@@ -27,7 +27,7 @@ from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, cable_lengths_squared,
 @pytest.fixture(scope="module")
 def default_report():
     """The design sweep at default resolutions (shared by criteria 4, 5, 7)."""
-    return optimize(bounds=DesignBounds(), springs=SpringSpec())
+    return optimize(bounds=DesignBounds(), springs=SpringParams())
 
 
 @pytest.fixture()
@@ -117,7 +117,7 @@ class RescaledMember(NamedTuple):
     stability: Stability
 
 
-def rescaled_family(records, springs: SpringSpec) -> list[RescaledMember]:
+def rescaled_family(records, springs: SpringParams) -> list[RescaledMember]:
     """Rescale each record uniformly to the family's largest energy step.
 
     A uniform scaling by ``s`` keeps ``alpha_sing`` and the home verdict and
@@ -133,13 +133,11 @@ def rescaled_family(records, springs: SpringSpec) -> list[RescaledMember]:
         h1, h2, h3, l1, _ = record.x
         g = SegmentGeometry(h1=s * h1, h2=s * h2, h3=s * h3, l1=s * l1,
                             l2=s * record.l2)
-        params = SpringParams.for_geometry(g, springs.k1, springs.k2,
-                                           springs.rest_fraction)
         alpha = capped_alpha_sing(singular_angles(g).alpha_sing)
-        rise = float(energy(g, params, alpha)) - float(energy(g, params, 0.0))
+        rise = float(energy(g, springs, alpha)) - float(energy(g, springs, 0.0))
         family.append(RescaledMember(
-            s, g, alpha, rise, total_energy(g, params, alpha_sing=alpha),
-            classify_home_stability(g, params).stability))
+            s, g, alpha, rise, total_energy(g, springs, alpha_sing=alpha),
+            classify_home_stability(g, springs).stability))
     return family
 
 

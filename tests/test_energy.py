@@ -46,7 +46,8 @@ def mp_total_energy(g, springs, alpha_sing):
     ``(k1 + k2) / 2`` times that of ``(rho1 - l0)**2``.
     """
     with mpmath.workdps(30):
-        rho, l0 = mp_cable1(g), mpmath.mpf(springs.l0)
+        rho = mp_cable1(g)
+        l0 = mpmath.mpf(rest_length(g, springs.rest_fraction))
         a = mpmath.mpf(alpha_sing)
         integral = mpmath.quad(lambda t: (rho(t) - l0) ** 2, [-a, a])
         return float((mpmath.mpf(springs.k1) + springs.k2) / 2 * integral)
@@ -55,11 +56,20 @@ def mp_total_energy(g, springs, alpha_sing):
 def mp_home_curvature(g, springs):
     """``E''(0)`` by mpmath numerical differentiation at 30 digits."""
     with mpmath.workdps(30):
-        rho, l0 = mp_cable1(g), mpmath.mpf(springs.l0)
+        rho = mp_cable1(g)
+        l0 = mpmath.mpf(rest_length(g, springs.rest_fraction))
         k1, k2 = mpmath.mpf(springs.k1), mpmath.mpf(springs.k2)
         return float(mpmath.diff(
             lambda t: (k1 * (rho(t) - l0) ** 2 + k2 * (rho(-t) - l0) ** 2) / 2,
             0, 2))
+
+
+def kernel_rows(designs, springs):
+    """The kernels' columns ``h1, h2, h3, l1, l2, l0, k1, k2`` of paired
+    designs and springs, ``l0`` from :func:`rest_length`."""
+    return [np.array(column) for column in zip(*(
+        (g.h1, g.h2, g.h3, g.l1, g.l2, rest_length(g, p.rest_fraction),
+         p.k1, p.k2) for g, p in zip(designs, springs)))]
 
 
 def design(h1, h2, l1, lam):
@@ -87,7 +97,7 @@ def test_rest_length_rejects_fraction_outside_open_interval(fraction):
 
 def test_spring_params_for_geometry():
     springs = unit_springs()
-    assert springs.l0 == pytest.approx(1.2)
+    assert rest_length(UNIT, springs.rest_fraction) == pytest.approx(1.2)
     assert springs.k1 == 1.0 and springs.k2 == 1.0
 
 
@@ -102,7 +112,29 @@ def test_spring_params_validation(kwargs):
 @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
 def test_spring_params_rejects_fraction_as_invalid_fraction(fraction):
     with pytest.raises(InvalidFraction, match="rest_fraction"):
-        SpringParams(k1=1.0, k2=1.0, rest_fraction=fraction, l0=1.0)
+        SpringParams(k1=1.0, k2=1.0, rest_fraction=fraction)
+
+
+def test_spring_params_defaults_are_those_of_for_geometry():
+    for g in (UNIT, STABLE_FLAT, UNSTABLE_TALL):
+        assert SpringParams() == SpringParams.for_geometry(g)
+
+
+@pytest.mark.parametrize("dims, text", [
+    ((0.0, 5e-324, 0.0, 5e-324, 5e-324), "0.0"),  # underflows to 0
+    ((1e308, 1e308, 1e308, 1.0, 1.0), "inf"),  # h1 + h2 + h3 overflows
+])
+def test_rest_length_must_be_positive_and_finite(dims, text):
+    # rest_length is the one check of a rest length: for_geometry and every
+    # scalar energy call go through it.
+    g = SegmentGeometry(*dims)
+    for call in (lambda: rest_length(g, 0.4),
+                 lambda: SpringParams.for_geometry(g),
+                 lambda: energy(g, SpringParams(), 0.0)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"l0 must be > 0, got {text}"
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +191,7 @@ def test_energy_at_home_equals_the_stability_kernels():
     springs = [SpringParams.for_geometry(
         g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
         rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
-    rows = [np.array([getattr(obj, f) for obj in objs])
-            for objs, fields in ((designs, ("h1", "h2", "h3", "l1", "l2")),
-                                 (springs, ("l0", "k1", "k2")))
-            for f in fields]
-    e0 = _home_stability(*rows)[0]
+    e0 = _home_stability(*kernel_rows(designs, springs))[0]
     assert [energy(g, p, 0.0) for g, p in zip(designs, springs)] == e0.tolist()
 
 
@@ -230,6 +258,18 @@ def test_profile_rejects_bad_inputs():
         energy_profile(UNIT, unit_springs(), n=1)
     with pytest.raises(ValueError):
         energy_profile(UNIT, unit_springs(), alpha_range=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha_range", [
+    (-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0),
+    (1.0, 1.0), (1.0, -1.0)])
+def test_profile_rejects_an_empty_or_unbounded_range(alpha_range):
+    # The CLI's --range rule: an infinite width would sample NaN angles.
+    lo, hi = alpha_range
+    with pytest.raises(ValueError) as raised:
+        energy_profile(UNIT, unit_springs(), alpha_range=alpha_range)
+    assert str(raised.value) == (
+        f"empty or unbounded angle range ({lo!r}, {hi!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +392,7 @@ def random_energy_rows(seed, n):
     rng = np.random.default_rng(seed)
     designs = [random_geometry(rng) for _ in range(n)]
     springs = [SpringParams.for_geometry(g) for g in designs]
-    rows = [np.array([getattr(g, f) for g in designs])
-            for f in ("h1", "h2", "h3", "l1", "l2")]
-    return designs, springs, rows + [np.array([p.l0 for p in springs])]
+    return designs, springs, kernel_rows(designs, springs)[:6]
 
 
 def test_total_energy_one_row_equals_the_batched_kernel():
@@ -424,7 +462,7 @@ def test_energy_lower_bound_is_below_the_integral(h1, h2, l1, lam, fraction,
 
     g = design(h1, h2, l1, lam)
     springs = SpringParams.for_geometry(g, k1, k2, fraction)
-    row = (g.h1, g.h2, g.h3, g.l1, g.l2, springs.l0, k1, k2, a)
+    row = (g.h1, g.h2, g.h3, g.l1, g.l2, rest_length(g, fraction), k1, k2, a)
     assert _energy_lower_bound(*row) <= (
         total_energy(g, springs, alpha_sing=a) * (1.0 + 1e-11))
 
@@ -507,11 +545,7 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
     springs = [SpringParams.for_geometry(
         g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
         rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
-    rows = [np.array([getattr(obj, f) for obj in objs])
-            for objs, fields in ((designs, ("h1", "h2", "h3", "l1", "l2")),
-                                 (springs, ("l0", "k1", "k2")))
-            for f in fields]
-    _, curvature, codes, tau = _home_stability(*rows)
+    _, curvature, codes, tau = _home_stability(*kernel_rows(designs, springs))
     verdicts = [classify_home_stability(g, p)
                 for g, p in zip(designs, springs)]
     assert [v.stability for v in verdicts] == [

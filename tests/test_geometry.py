@@ -13,8 +13,7 @@ from conftest import (EPS, STABLE_FLAT, UNIT, cable_lengths_squared,
 from tenseg import (DesignBounds, DesignRecord, EnergyProfile, Frame2D,
                     InvalidFraction, InvalidGeometry, InvalidRatio,
                     OptimizationReport, SegmentGeometry, SegmentPose,
-                    SegmentState, SingularitySet, SpringParams, SpringSpec,
-                    Stability, StabilityClass, StackConfig, cable_lengths,
+                    SegmentState, SingularitySet, SpringParams, Stability, StabilityClass, StackConfig, cable_lengths,
                     normalize_angle, segment_points, singularity_condition,
                     stack_forward, tapered_stack, validate_geometry)
 
@@ -187,6 +186,25 @@ def test_cable_lengths_vectorized_matches_scalar():
     for i, alpha in enumerate(alphas):
         s1, s2 = cable_lengths(UNIT, float(alpha))
         assert rho1[i] == s1 and rho2[i] == s2
+
+
+@given(h1=st.floats(0.0, 1.0), h2=st.floats(1e-3, 2.0), h3=st.floats(0.0, 1.0),
+       l1=st.floats(1e-3, 4.5), lam=st.floats(0.05, 1.0),
+       ends=st.sampled_from(["flat", "equal", "free"]),
+       exponent=st.integers(-300, 300))
+@settings(max_examples=500, deadline=None)
+def test_home_length_is_the_cable_length_at_home(h1, h2, h3, l1, lam, ends,
+                                                 exponent):
+    # The one closed form behind every rest length.  At alpha = 0, sin 0 = 0
+    # and cos 0 = 1 exactly, so the point construction reduces to it bit for
+    # bit, for flat designs, for h3 = h1 as in the sweep, and at every scale.
+    from tenseg.geometry import _home_length
+
+    h1, h3 = {"flat": (0.0, 0.0), "equal": (h1, h1), "free": (h1, h3)}[ends]
+    scale = 10.0 ** exponent
+    g = SegmentGeometry(*(scale * v for v in (h1, h2, h3, l1, lam * l1)))
+    home = _home_length(g.h1, g.h2, g.h3, g.l1, g.l2)
+    assert home == cable_lengths(g, 0.0)[0] == cable_lengths(g, 0.0)[1]
 
 
 @given(st.floats(-math.pi, math.pi))
@@ -386,15 +404,14 @@ RECORDS = [
     (SingularitySet((-1.0, 1.0), (-1.0, 1.0), (1, 1), 1.0),
      "SingularitySet(loop1=(-1.0, 1.0), loop2=(-1.0, 1.0), "
      "multiplicities=(1, 1), alpha_sing=1.0)"),
-    (SpringParams(1.0, 2.0, 0.4, 0.8),
-     "SpringParams(k1=1.0, k2=2.0, rest_fraction=0.4, l0=0.8)"),
+    (SpringParams(1.0, 2.0, 0.4),
+     "SpringParams(k1=1.0, k2=2.0, rest_fraction=0.4)"),
     (EnergyProfile(VEC, VEC, (-1.0, 1.0)),
      "EnergyProfile(alphas=array([0., 1.]), energies=array([0., 1.]), "
      "alpha_range=(-1.0, 1.0))"),
     (StabilityClass(Stability.STABLE, 0.5, 1e-9),
      "StabilityClass(stability=<Stability.STABLE: 'Stable'>, curvature=0.5, "
      "threshold=1e-09)"),
-    (SpringSpec(), "SpringSpec(k1=1.0, k2=1.0, rest_fraction=0.4)"),
     (DesignBounds(),
      "DesignBounds(h1_res=11, h2_res=21, l1_res=45, lambda_res=20)"),
     (DESIGN,
@@ -402,10 +419,10 @@ RECORDS = [
      "alpha_sing=1.0, total_energy=2.0, energy_at_zero=0.5, "
      "energy_at_sing=1.5, stability=<Stability.STABLE: 'Stable'>, "
      "curvature=0.25)"),
-    (OptimizationReport(DesignBounds(), SpringSpec(), (DESIGN,),
+    (OptimizationReport(DesignBounds(), SpringParams(), (DESIGN,),
                         ((0.5, 1.0, 0.5),), ((0.5, 2.0),), 1.0, 10, 8),
      "OptimizationReport(bounds=DesignBounds(h1_res=11, h2_res=21, "
-     "l1_res=45, lambda_res=20), springs=SpringSpec(k1=1.0, k2=1.0, "
+     "l1_res=45, lambda_res=20), springs=SpringParams(k1=1.0, k2=1.0, "
      "rest_fraction=0.4), best=(DesignRecord(x=(0.1, 0.2, 0.1, 1.0, 0.5), "
      "l2=0.5, feasible=True, alpha_sing=1.0, total_energy=2.0, "
      "energy_at_zero=0.5, energy_at_sing=1.5, "
@@ -424,7 +441,7 @@ def fields_of(record):
 
 
 def test_records_cover_every_record_type():
-    assert len(set(RECORD_IDS)) == 13
+    assert len(set(RECORD_IDS)) == 12
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
@@ -468,7 +485,7 @@ def test_equal_records_are_equal_and_hash_alike(record):
 
 
 def test_records_of_different_types_never_compare_equal():
-    spec = SpringSpec(1.0, 1.0, 0.4)
+    spec = SpringParams(1.0, 1.0, 0.4)
     verdict = StabilityClass(1.0, 1.0, 0.4)
     assert fields_of(spec) == fields_of(verdict)
     assert spec != verdict and verdict != spec and not spec == verdict
@@ -486,8 +503,8 @@ def test_records_holding_arrays_do_not_hash():
 
 
 def test_record_defaults_and_validation():
-    assert fields_of(SpringSpec()) == (1.0, 1.0, 0.4)
-    assert SpringSpec(k2=2.0) == SpringSpec(1.0, 2.0, 0.4)
+    assert fields_of(SpringParams()) == (1.0, 1.0, 0.4)
+    assert SpringParams(k2=2.0) == SpringParams(1.0, 2.0, 0.4)
     assert fields_of(DesignBounds()) == (11, 21, 45, 20)
     assert DesignBounds(lambda_res=3).resolutions == (11, 21, 45, 3)
     assert SegmentState(alpha=4.0).alpha == 4.0 - 2.0 * math.pi
@@ -497,13 +514,11 @@ def test_record_defaults_and_validation():
          "h2: must be > 0, got 0"),
         (lambda: StackConfig((GEOMETRY,) * 2, (WRAPPED,) * 3), ValueError,
          "a stack has exactly three segments and three states"),
-        (lambda: SpringParams(1.0, 1.0, 0.4, 0.0), ValueError,
-         "l0 must be > 0, got 0.0"),
-        (lambda: SpringParams(-1.0, 1.0, 0.4, 1.0), ValueError,
+        (lambda: SpringParams(-1.0, 1.0, 0.4), ValueError,
          "k1 must be > 0, got -1.0"),
-        (lambda: SpringSpec(rest_fraction=1.0), InvalidFraction,
+        (lambda: SpringParams(rest_fraction=1.0), InvalidFraction,
          "rest_fraction must lie in (0, 1), got 1.0"),
-        (lambda: SpringSpec(k2=0.0), ValueError, "k2 must be > 0, got 0.0"),
+        (lambda: SpringParams(k2=0.0), ValueError, "k2 must be > 0, got 0.0"),
         (lambda: DesignBounds(h1_res=1), ValueError,
          "h1_res must be an integer >= 2, got 1"),
         (lambda: DesignBounds(h2_res=2.0), ValueError,

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
-                    SpringParams, SpringSpec, Stability,
-                    classify_home_stability, energy, optimize,
-                    singular_angles, total_energy)
+                    SpringParams, Stability, classify_home_stability,
+                    energy, optimize, rest_length, singular_angles,
+                    total_energy)
 from tenseg.energy import _energy_lower_bound
 from tenseg.geometry import _condition_terms
 from tenseg.optimizer import (DesignRecord, H1_RANGE, H2_RANGE, L1_RANGE,
@@ -41,9 +41,9 @@ def enumerate_grid(bounds: DesignBounds):
                     yield (float(h1), float(h2), float(h1), float(l1), float(lam))
 
 
-def evaluate_design(x, springs: SpringSpec | None = None) -> DesignRecord:
+def evaluate_design(x, springs: SpringParams | None = None) -> DesignRecord:
     """Evaluate one design vector through the scalar reference pipeline."""
-    springs = springs or SpringSpec()
+    springs = springs or SpringParams()
     h1, h2, h3, l1, lam = (float(v) for v in x)
     l2 = lam * l1
     x = (h1, h2, h3, l1, lam)
@@ -55,17 +55,15 @@ def evaluate_design(x, springs: SpringSpec | None = None) -> DesignRecord:
                             total_energy=nan, energy_at_zero=nan,
                             energy_at_sing=nan, stability=None, curvature=nan)
     alpha_sing = capped_alpha_sing(singular_angles(g).alpha_sing)
-    params = SpringParams.for_geometry(g, springs.k1, springs.k2,
-                                       springs.rest_fraction)
-    verdict = classify_home_stability(g, params)
+    verdict = classify_home_stability(g, springs)
     return DesignRecord(
         x=x,
         l2=l2,
         feasible=True,
         alpha_sing=alpha_sing,
-        total_energy=total_energy(g, params, alpha_sing=alpha_sing),
-        energy_at_zero=float(energy(g, params, 0.0)),
-        energy_at_sing=float(energy(g, params, alpha_sing)),
+        total_energy=total_energy(g, springs, alpha_sing=alpha_sing),
+        energy_at_zero=float(energy(g, springs, 0.0)),
+        energy_at_sing=float(energy(g, springs, alpha_sing)),
         stability=verdict.stability,
         curvature=verdict.curvature,
     )
@@ -162,7 +160,7 @@ def test_spring_spec_validation():
             (dict(rest_fraction=1.0),
              "rest_fraction must lie in (0, 1), got 1.0")]:
         with pytest.raises(ValueError) as caught:
-            SpringSpec(**kwargs)
+            SpringParams(**kwargs)
         assert str(caught.value) == message
 
 
@@ -172,7 +170,7 @@ def test_spring_spec_validation():
 
 def test_chunk_evaluation_matches_reference():
     bounds = DesignBounds(h1_res=4, h2_res=5, l1_res=6, lambda_res=3)
-    springs = SpringSpec()
+    springs = SpringParams()
     report = optimize(bounds=bounds, springs=springs)
     assert report.n_designs == bounds.grid_size == 360
     assert report.n_feasible == 360 - 4 * 6 * 3  # h2 = 0 plane is infeasible
@@ -579,7 +577,7 @@ def test_prune_certificate_is_sound(dims, b):
 @pytest.fixture(scope="module")
 def small_report():
     bounds = DesignBounds(h1_res=3, h2_res=5, l1_res=6, lambda_res=4)
-    return optimize(bounds=bounds, springs=SpringSpec())
+    return optimize(bounds=bounds, springs=SpringParams())
 
 
 def test_report_structure(small_report):
@@ -699,7 +697,7 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     for h1, h2, l1, l2 in left_out:
         t = taper_of[(h1, h2, l1, l2)]
         g = SegmentGeometry(h1, h2, h1, l1, l2)
-        l0 = SpringParams.for_geometry(g, k1, k2, fraction).l0
+        l0 = rest_length(g, fraction)
         assert _energy_lower_bound(h1, h2, h1, l1, l2, l0, k1, k2,
                                    peaks[t]) > winning[t]
     assert calls["_home_stability"] == [(sorted(winners), ())]
@@ -732,7 +730,7 @@ def test_per_taper_integrals_equal_the_per_row_range_oracle(monkeypatch,
                         recording_kernel)
     monkeypatch.setattr(optimizer_module, "_energy_lower_bound",
                         recording_bound)
-    springs = SpringSpec(k1=2.0, k2=0.5)
+    springs = SpringParams(k1=2.0, k2=0.5)
     optimize(bounds=DesignBounds(*resolutions), springs=springs)
     assert bounded == [n_ties]
     rows = [row for args, _ in seen for row in zip(*args[:6])]
@@ -792,8 +790,8 @@ def integrate_counted(monkeypatch, bounds, springs, unfiltered=False):
         return optimize(bounds=bounds, springs=springs), sum(rows)
 
 
-SPRING_SETS = [SpringSpec(1.0, 1.0, 0.4), SpringSpec(2.0, 0.5, 0.9),
-               SpringSpec(0.3, 3.0, 0.999)]
+SPRING_SETS = [SpringParams(1.0, 1.0, 0.4), SpringParams(2.0, 0.5, 0.9),
+               SpringParams(0.3, 3.0, 0.999)]
 # Every grid the tests and goldens sweep, and the default one.
 TEST_GRIDS = [(3, 5, 6, 4), (3, 4, 5, 3), (4, 6, 5, 3), (5, 6, 2, 4),
               (3, 3, 3, 4), (5, 5, 9, 7), (4, 5, 6, 3), (5, 11, 9, 5),
@@ -830,7 +828,7 @@ def test_a_winner_integrated_after_the_first_tie_still_wins(monkeypatch,
 
     monkeypatch.setattr(optimizer_module, "_energy_integral",
                         lambda *args: squeeze(kernel(*args)))
-    bounds, springs = DesignBounds(*resolutions), SpringSpec(2.0, 0.5, 0.9)
+    bounds, springs = DesignBounds(*resolutions), SpringParams(2.0, 0.5, 0.9)
     brute = integrate_counted(monkeypatch, bounds, springs, True)[0]
     rng = np.random.default_rng(5)
     monkeypatch.setattr(optimizer_module, "_energy_lower_bound",
@@ -852,7 +850,7 @@ def test_a_winner_integrated_after_the_first_tie_still_wins(monkeypatch,
 
 
 @pytest.mark.parametrize("springs, integrated", [
-    (SpringSpec(1.0, 1.0, 0.4), 20), (SpringSpec(2.0, 0.5, 0.9), 102)])
+    (SpringParams(1.0, 1.0, 0.4), 20), (SpringParams(2.0, 0.5, 0.9), 102)])
 def test_default_grid_integrates_few_of_its_4462_ties(monkeypatch, springs,
                                                       integrated):
     assert integrate_counted(monkeypatch, DesignBounds(), springs)[1] == (
@@ -885,6 +883,20 @@ def bound_over_energy(bound, args):
     ratio = bound(*args) / per_row_energy_integral(*dims, k1, k2, a)
     assert (ratio <= 1.0).all(), ratio.max()
     return ratio
+
+
+def test_sweep_rest_lengths_are_those_of_the_scalar_api(default_ties):
+    # Pass 2 takes the tie set's rest lengths from the closed form, which
+    # must equal the point construction at alpha = 0 and rest_length, row
+    # by row and bit for bit.
+    from tenseg.geometry import _cable_lengths_raw, _home_length
+
+    h1, h2, h3, l1, l2, l0 = default_ties[:6]
+    home = _home_length(h1, h2, h3, l1, l2)
+    assert np.array_equal(home, _cable_lengths_raw(h1, h2, h3, l1, l2, 0.0)[0])
+    rows = zip(*(v.tolist() for v in default_ties[:5]))
+    assert l0.tolist() == [rest_length(SegmentGeometry(*row), 0.4)
+                           for row in rows]
 
 
 def test_bound_is_below_every_default_tie_energy(default_ties):
