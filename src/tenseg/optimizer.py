@@ -18,16 +18,17 @@ spring energy ``E_t`` and then lexicographically smaller design vector —
 fully deterministic, and independent of how the sweep is chunked.
 
 The sweep runs in two passes, in one process.  The first scores every design
-into one array of the whole grid.  Flat rows take a closed form from their
-axes, and each taper's best one sets a bar.  Where that is the pi/2 cap, an
-exact bound from the axes puts a singular angle of every non-flat row inside
-it, with no quartic formed (:func:`_certified`; all 180,000 default rows).
-Other tapers go in chunks: a non-flat row whose quartic certainly changes
-sign inside the bar's angle is pruned unsolved, and only the rest reach the
-quartic kernel.  The second keeps, per taper, the designs at the best score
-(the tie set; 4,462 of the 198,000 feasible default designs, exactly the cap
-region ``h1 = 0, h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's
-peak, only the ties that can still win (20 of the 4,462 default ones): the
+into one array of the whole grid, each by one route.  Flat rows take a
+closed form from their axes, and each taper's best one sets a bar.  Where
+that is the pi/2 cap, an exact bound from the axes puts a singular angle of
+every non-flat row inside it, with no quartic formed (:func:`_certified`;
+all 180,000 default rows).  The feasible non-flat rows of the other tapers
+go in chunks: a row whose quartic certainly changes sign inside the bar's
+angle is pruned unsolved, and only the rest reach the quartic kernel.  The
+second keeps, per taper, the designs at the best score (the tie set; 4,462
+of the 198,000 feasible default designs, exactly the cap region ``h1 = 0,
+h2/l1 >= 4 lam/(1 + lam)``) and integrates, over the taper's peak, only the
+ties that can still win (20 of the 4,462 default ones): the
 one of least lower bound on ``E_t`` (``_energy_lower_bound``), then those
 whose bound is at most its ``E_t`` times ``1 + _LB_MARGIN``.  The rest keep
 ``E_t = inf``, and only the winners are classified.  Every kernel is the
@@ -160,22 +161,6 @@ class OptimizationReport(_Record):
     n_feasible: int
 
 
-def _nearest_singularity_block(h1, h2, h3, l1, l2) -> np.ndarray:
-    """Nearest singular angle per design, arrays in, array out: that of
-    :func:`tenseg.singularity.singular_angles`, bit for bit, by its closed form
-    (``_flat_angle``) for ``h1 = h3 = 0`` and its quartic kernel otherwise."""
-    nearest = np.empty(h1.shape)
-    flat = (h1 == 0.0) & (h3 == 0.0)
-    nearest[flat] = np.fmin(_flat_angle(h2[flat], l1[flat], l2[flat]), _PI_2)
-    rest = ~flat
-    if rest.any():
-        roots = quartic_real_roots(quartic_coefficients(
-            h1[rest], h2[rest], h3[rest], l1[rest], l2[rest]))[0]
-        closest = np.fmin.reduce(np.abs(2.0 * np.arctan(roots)), axis=1)
-        nearest[rest] = np.where(np.isnan(closest), np.inf, closest)
-    return nearest
-
-
 def _grid_rows(axes, index):
     """``(ilam, h1, h2, l1, lam)`` of the grid's flat indices ``index``, in
     taper-major order: ``axes`` is ``(lam, h1, h2, l1)``, outermost first."""
@@ -199,19 +184,17 @@ def _pruned(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scores(axes, b: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Scores of the grid's flat indices ``index``, row by row; ``-inf``
-    where ``h2 = 0`` (no middle link, infeasible).  A non-flat row that
-    :func:`_pruned` settles inside its taper's ``(-b, b)`` scores ``b``, a
-    bound on its ``alpha_sing`` below the taper's peak; only the other rows
-    are solved, each to its capped ``alpha_sing``."""
+    """Scores of the grid's flat indices ``index``, all feasible non-flat
+    rows.  A row that :func:`_pruned` settles inside its taper's ``(-b, b)``
+    scores ``b``, a bound on its ``alpha_sing`` below the taper's peak; only
+    the other rows are solved, each to its capped ``alpha_sing``."""
     ilam, h1, h2, l1, lam = _grid_rows(axes, index)
-    b = b[ilam]
-    pruned = _pruned(quartic_coefficients(h1, h2, h1, l1, lam * l1), b)
-    pruned &= (h1 > 0.0) & (h2 > 0.0)
-    score = np.where(pruned, b, -np.inf)
-    solve = (h2 > 0.0) & ~pruned
-    h1, h2, l1, lam = (v[solve] for v in (h1, h2, l1, lam))
-    score[solve] = _capped(_nearest_singularity_block(h1, h2, h1, l1, lam * l1))
+    score = b[ilam]
+    coeffs = quartic_coefficients(h1, h2, h1, l1, lam * l1)
+    solve = ~_pruned(coeffs, score)
+    roots = quartic_real_roots(coeffs[solve])[0]
+    closest = np.fmin.reduce(np.abs(2.0 * np.arctan(roots)), axis=1)
+    score[solve] = _capped(np.where(np.isnan(closest), np.inf, closest))
     return score
 
 
@@ -257,23 +240,25 @@ def _certified(axes, bar: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _score_grid(axes) -> np.ndarray:
-    """Pass 1: every design's score, in taper-major order.  A taper's bar is
-    the capped score of its best flat row (the largest ``h2``, the smallest
-    ``l1``), and ``b`` lies just below ``min(bar, pi/2 - 2 _SNAP)``.  The
-    non-flat rows of a :func:`_certified` taper score ``b``; the other
-    tapers go through :func:`_scores` in chunks of ``_CHUNK``."""
+    """Pass 1: every design's score, in taper-major order, each from one
+    source.  Flat rows take the face's closed form, and ``h2 = 0`` rows
+    ``-inf``.  A taper's bar is the capped score of its best flat row (the
+    largest ``h2``, the smallest ``l1``), and ``b`` lies just below
+    ``min(bar, pi/2 - 2 _SNAP)``.  The non-flat rows of a :func:`_certified`
+    taper score ``b``; the feasible non-flat rows of the other tapers go
+    through :func:`_scores` in chunks of ``_CHUNK``."""
     lam, h1, h2, l1 = axes
-    grid = np.empty(tuple(map(len, axes)))
+    grid = np.full(tuple(map(len, axes)), np.nan)
     f_lam, f_h2, f_l1 = np.broadcast_arrays(lam[:, None, None], h2[:, None], l1)
     face = _capped(np.fmin(_flat_angle(f_h2, f_l1, f_lam * f_l1), _PI_2))
     bar = face[:, h2.argmax(), l1.argmin()]
     b = np.minimum(bar, _PI_2 - 2.0 * _SNAP) * (1.0 - 4.0 * np.finfo(float).eps)
     certified = _certified(axes, bar, b)
-    grid[:, h1 == 0.0] = np.where(h2[:, None] > 0.0, face, -np.inf)[:, None]
-    grid[np.ix_(certified, h1 > 0.0)] = np.where(
-        h2[:, None] > 0.0, b[certified, None, None, None], -np.inf)
-    score, per = grid.reshape(-1), grid[0].size
-    rows = (np.flatnonzero(~certified)[:, None] * per + np.arange(per)).ravel()
+    grid[certified] = b[certified, None, None, None]
+    grid[:, h1 == 0.0] = face[:, None]
+    grid[:, :, h2 == 0.0] = -np.inf
+    score = grid.reshape(-1)
+    rows = np.flatnonzero(np.isnan(score))
     for start in range(0, len(rows), _CHUNK):
         index = rows[start:start + _CHUNK]
         score[index] = _scores(axes, b, index)

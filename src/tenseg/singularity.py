@@ -341,7 +341,7 @@ def quartic_real_roots(coeffs):
     for d in (4, 3):
         rows = degree == d
         hits = np.count_nonzero(rows)
-        if hits == rows.size:
+        if 0 < hits == rows.size:
             roots[:d] = _solve(cols[: d + 1], scale, d)
         elif hits:
             idx = np.flatnonzero(rows)

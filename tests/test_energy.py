@@ -322,8 +322,9 @@ def test_total_energy_matches_dense_trapezoid_oracle():
 
 
 def test_total_energy_unit_value_pinned():
+    # 40-digit mpmath quadrature, split at 0: 5.2146463103529059681...
     assert total_energy(UNIT, unit_springs()) == pytest.approx(
-        5.2146463102, abs=1e-9)
+        5.214646310352906, rel=1e-12)
 
 
 def test_total_energy_matches_mpmath_on_grid_designs():

@@ -19,7 +19,8 @@ from tenseg.optimizer import (DesignRecord, H1_RANGE, H2_RANGE, L1_RANGE,
                               LAMBDA_RANGE, _SNAP)
 from conftest import (capped_alpha_sing, oracle_real_roots,
                       per_row_energy_integral)
-from tenseg.singularity import quartic_coefficients, quartic_real_roots
+from tenseg.singularity import (_flat_angle, quartic_coefficients,
+                                quartic_real_roots)
 
 # ---------------------------------------------------------------------------
 # scalar reference pipeline
@@ -218,16 +219,41 @@ def refuse_certificate(patch):
                   lambda axes, bar, b: np.zeros(len(bar), dtype=bool))
 
 
+def refuse_prune(patch):
+    """Make the per-row prune settle no row, so that ``_scores`` solves
+    every row it is given."""
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    patch.setattr(optimizer_module, "_pruned",
+                  lambda coeffs, b: np.zeros(len(coeffs), dtype=bool))
+
+
 def pass1_scores(bounds: DesignBounds) -> np.ndarray:
     """The sweep's pass-1 score array of the grid, as ``optimize`` forms it."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
     return optimizer_module._score_grid(grid_axes(bounds))
 
 
+def brute_scores(bounds: DesignBounds) -> np.ndarray:
+    """Pass 1 with the certificate and the prune refused: the face's closed
+    form on the flat rows, and every feasible non-flat row solved."""
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_certificate(patch)
+        refuse_prune(patch)
+        return pass1_scores(bounds)
+
+
+def feasible_nonflat_rows(bounds: DesignBounds) -> np.ndarray:
+    """Flat indices of the grid's rows with ``h1 > 0`` and ``h2 > 0``."""
+    _, h1, h2, _, _ = importlib.import_module("tenseg.optimizer")._grid_rows(
+        grid_axes(bounds), np.arange(bounds.grid_size))
+    return np.flatnonzero((h1 > 0.0) & (h2 > 0.0))
+
+
 def rowwise_scores(bounds: DesignBounds, chunk=None) -> np.ndarray:
-    """Pass 1 with the certificate refused: the concatenated ``_scores`` of
-    the grid's consecutive chunks of ``chunk`` rows (``_CHUNK`` if None),
-    after asserting that those calls took every row once, in order."""
+    """Pass 1 with the certificate refused: the face on the flat rows, and
+    the ``_scores`` of consecutive chunks of ``chunk`` (``_CHUNK`` if None)
+    feasible non-flat rows, after asserting that those calls took every
+    such row once, in order, and no other."""
     optimizer_module = importlib.import_module("tenseg.optimizer")
     scores, calls = optimizer_module._scores, []
 
@@ -242,7 +268,8 @@ def rowwise_scores(bounds: DesignBounds, chunk=None) -> np.ndarray:
             patch.setattr(optimizer_module, "_CHUNK", chunk)
         score = pass1_scores(bounds)
         chunk = optimizer_module._CHUNK
-    assert np.array_equal(np.concatenate(calls), np.arange(bounds.grid_size))
+    assert np.array_equal(np.concatenate(calls),
+                          feasible_nonflat_rows(bounds))
     assert all(len(index) == chunk for index in calls[:-1])
     return score
 
@@ -299,50 +326,36 @@ def test_quartic_kernel_agrees_with_oracle_on_grid_designs():
         assert 2.0 * np.arctan(found[found == found]) == pytest.approx(
             2.0 * np.arctan(oracle), abs=1e-12)
 
-    # The sweep's capped score is the scalar API's, bit for bit, on the flat
-    # face (both take its closed form) and off it.
-    optimizer_module = importlib.import_module("tenseg.optimizer")
-    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
+    # The sweep's capped score, every row solved, is the scalar API's, bit
+    # for bit, on the flat face (both take its closed form) and off it.
+    score = brute_scores(bounds)[feasible]
     for row in range(len(h1)):
         g = SegmentGeometry(h1=h1[row], h2=h2[row], h3=h1[row], l1=l1[row],
                             l2=l2[row])
         scalar = capped_alpha_sing(singular_angles(g).alpha_sing)
-        assert capped_alpha_sing(float(nearest[row])) == scalar
+        assert score[row] == scalar
 
 
 def test_sweep_flat_rows_equal_singular_angles_bit_for_bit():
-    # All 18,000 feasible flat rows of the default grid, uncapped: the sweep
-    # and singular_angles take the same closed form.  Its arcsin is steep
-    # where the ratio nears 1, so any second route would differ there.
+    # All 18,000 feasible flat rows of the default grid, uncapped: the
+    # sweep's face and singular_angles take the same closed form.  Its
+    # arcsin is steep where the ratio nears 1, so any second route would
+    # differ there.
     bounds = DesignBounds()
     h1, h2, _, l1, lam = (np.array(v) for v in zip(*enumerate_grid(bounds)))
     flat = (h1 == 0.0) & (h2 > 0.0)
     h2, l1, l2 = h2[flat], l1[flat], lam[flat] * l1[flat]
     assert len(h2) == 18_000
-    nearest = importlib.import_module(
-        "tenseg.optimizer")._nearest_singularity_block(0.0 * h2, h2, 0.0 * h2,
-                                                        l1, l2)
+    nearest = np.fmin(_flat_angle(h2, l1, l2), math.pi / 2)
     scalar = [singular_angles(SegmentGeometry(0.0, a, 0.0, b, c)).alpha_sing
               for a, b, c in zip(h2.tolist(), l1.tolist(), l2.tolist())]
     assert nearest.tolist() == scalar
+    assert pass1_scores(bounds)[flat].tolist() == [
+        capped_alpha_sing(v) for v in scalar]
 
 
 # ---------------------------------------------------------------------------
 # pruning against each taper's flat bar
-
-
-def unpruned_scores(axes, b, index) -> np.ndarray:
-    """``_scores`` without pruning: the capped ``alpha_sing`` of every
-    feasible row of ``index``, each solved."""
-    optimizer_module = importlib.import_module("tenseg.optimizer")
-    _, h1, h2, l1, lam = optimizer_module._grid_rows(axes, index)
-    score = np.full(len(index), -np.inf)
-    feasible = h2 > 0.0
-    h1, h2, l1, lam = (v[feasible] for v in (h1, h2, l1, lam))
-    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1,
-                                                          lam * l1)
-    score[feasible] = [capped_alpha_sing(float(v)) for v in nearest]
-    return score
 
 
 def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
@@ -372,10 +385,10 @@ def test_survivors_reach_the_kernel_and_match_the_unpruned_sweep(monkeypatch):
     assert winner.lam == 1.0 and winner.x[0] == 0.25
     assert winner.alpha_sing == pytest.approx(1.2693, abs=1e-4)
 
-    # The brute force scores every feasible row through the kernel, then
-    # takes the same cap, tie set and tie-break.
+    # The brute force solves every feasible non-flat row through the
+    # kernel, then takes the same cap, tie set and tie-break.
     refuse_certificate(monkeypatch)
-    monkeypatch.setattr(optimizer_module, "_scores", unpruned_scores)
+    refuse_prune(monkeypatch)
     brute = optimize(bounds=bounds)
     assert solved[2:] == [4 * 5 * 2 * 4]  # h1 > 0, h2 > 0, every l1 and lam
     assert report == brute
@@ -388,9 +401,7 @@ def test_pruned_rows_score_below_their_taper_peak(resolutions):
     # certificate refused) alike.
     bounds = DesignBounds(*resolutions)
     shape = (bounds.lambda_res, -1)
-    axes = grid_axes(bounds)
-    exact = unpruned_scores(axes, None, np.arange(bounds.grid_size))
-    exact = exact.reshape(shape)
+    exact = brute_scores(bounds).reshape(shape)
     peak = np.broadcast_to(exact.max(axis=1)[:, None], exact.shape)
     for score in (pass1_scores(bounds), rowwise_scores(bounds)):
         score = score.reshape(shape)
@@ -408,15 +419,18 @@ def test_default_grid_solves_no_row(monkeypatch):
     # Every one of the 180,000 feasible non-flat rows is settled unsolved,
     # and the 18,000 flat ones take the closed form.  The axis certificate
     # forms no quartic at all; with it refused, the per-row prune forms one
-    # for every row and settles each non-flat one against its taper's bar.
+    # for each of those rows alone and settles it against its taper's bar.
     optimizer_module = importlib.import_module("tenseg.optimizer")
     formed = []
 
     def no_kernel(coeffs):
-        raise AssertionError(f"{len(coeffs)} rows reached the kernel")
+        # Each chunk calls the kernel, on no row when the prune settles all.
+        if len(coeffs):
+            raise AssertionError(f"{len(coeffs)} rows reached the kernel")
+        return quartic_real_roots(coeffs)
 
     def counting_coefficients(h1, *rest):
-        formed.append(int(np.count_nonzero(h1)))
+        formed.append(len(h1))
         return quartic_coefficients(h1, *rest)
 
     monkeypatch.setattr(optimizer_module, "quartic_real_roots", no_kernel)
@@ -426,7 +440,7 @@ def test_default_grid_solves_no_row(monkeypatch):
     assert formed == []
     refuse_certificate(monkeypatch)
     assert optimize() == report
-    assert sum(formed) == 10 * 21 * 45 * 20
+    assert sum(formed) == 10 * 20 * 45 * 20
     assert (report.n_designs, report.n_feasible) == (207_900, 198_000)
     assert all(r.alpha_sing == math.pi / 2 for r in report.best)
 
@@ -531,7 +545,7 @@ def test_certificate_refuses_a_tiny_h1_sample(monkeypatch):
     with monkeypatch.context() as patch:
         refuse_certificate(patch)
         assert optimize(bounds=bounds) == report
-        patch.setattr(optimizer_module, "_scores", unpruned_scores)
+        refuse_prune(patch)
         assert optimize(bounds=bounds) == report
     # Each call builds its axes afresh: nothing of the patch outlives it.
     monkeypatch.undo()
@@ -550,6 +564,44 @@ def test_pass1_scores_equal_the_rowwise_scores(resolutions):
     for chunk in (4096, 2048, 1001):
         rowwise = rowwise_scores(bounds, chunk).view(np.int64)
         assert np.array_equal(score, rowwise)
+
+
+@pytest.mark.parametrize("refused", [False, True],
+                         ids=["certified", "refused"])
+@pytest.mark.parametrize("resolutions, reaching, solved", [
+    ((5, 6, 2, 4), 40, 3), ((11, 21, 2, 20), 1_600, 33),
+    ((41, 41, 2, 40), 28_800, 520)])
+def test_pass1_scores_each_row_by_one_route(monkeypatch, resolutions,
+                                            reaching, solved, refused):
+    # Each row takes one of four sources: the face (h1 = 0), infeasible
+    # (h2 = 0), the certificate, or _scores.  Only the feasible non-flat rows
+    # of the tapers the certificate leaves reach _scores (all of them when
+    # it is refused), and the prune settles the same rows either way.
+    optimizer_module = importlib.import_module("tenseg.optimizer")
+    bounds = DesignBounds(*resolutions)
+    scores, calls, kernel_rows = optimizer_module._scores, [], []
+
+    def recording_scores(axes, b, index):
+        calls.append(index)
+        return scores(axes, b, index)
+
+    def counting_kernel(coeffs):
+        kernel_rows.append(len(coeffs))
+        return quartic_real_roots(coeffs)
+
+    if refused:
+        refuse_certificate(monkeypatch)
+        reaching = len(feasible_nonflat_rows(bounds))
+    monkeypatch.setattr(optimizer_module, "_scores", recording_scores)
+    monkeypatch.setattr(optimizer_module, "quartic_real_roots",
+                        counting_kernel)
+    score = pass1_scores(bounds)
+    index = np.concatenate(calls)
+    _, h1, h2, _, _ = optimizer_module._grid_rows(grid_axes(bounds), index)
+    assert (h1 > 0.0).all() and (h2 > 0.0).all()
+    assert len(index) == reaching
+    assert sum(kernel_rows) == solved
+    assert not np.isnan(score).any()
 
 
 @given(st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 100.0),
@@ -667,9 +719,8 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     points = list(enumerate_grid(bounds))
     h1, h2, _, l1, lam = (np.array(v) for v in zip(*points))
     l2 = lam * l1
-    nearest = optimizer_module._nearest_singularity_block(h1, h2, h1, l1, l2)
-    scores = {i: capped_alpha_sing(float(nearest[i]))
-              for i in range(len(points)) if h2[i] > 0.0}
+    brute = brute_scores(bounds)
+    scores = {i: float(brute[i]) for i in range(len(points)) if h2[i] > 0.0}
     peaks = {}
     for i, score in scores.items():
         peaks[lam[i]] = max(peaks.get(lam[i], -math.inf), score)

@@ -341,8 +341,9 @@ def test_uncertified_design_runs_the_fallback_once(monkeypatch, g,
 
 
 def default_grid_kernel_rows():
-    """``(h1, h2, l1, lam, flat index)`` of the default grid's designs that the
-    sweep sends to the quartic kernel (``h1 > 0``, ``h2 > 0``)."""
+    """``(h1, h2, l1, lam, flat index)`` of the default grid's designs that
+    pass 1 sends to its prune and kernel, in chunks of ``_CHUNK``, when no
+    taper is certified (``h1 > 0``, ``h2 > 0``)."""
     bounds = DesignBounds()
     axes = (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
             bounds.l1_axis())
@@ -357,7 +358,7 @@ def test_kernel_rows_do_not_depend_on_the_batch():
     h1, h2, l1, lam, index = default_grid_kernel_rows()
     target = np.flatnonzero((h1 == 0.2) & (h2 == 0.5) & (lam == 1.0)
                             & (np.abs(l1 - 0.15) < 1e-12))[0]
-    rows = index // _CHUNK == index[target] // _CHUNK
+    rows = np.arange(len(index)) // _CHUNK == target // _CHUNK
     coeffs = quartic_coefficients(h1[rows], h2[rows], h1[rows], l1[rows],
                                   lam[rows] * l1[rows])
     unit = coeffs.T / np.abs(coeffs).max()
@@ -380,6 +381,22 @@ def test_kernel_rows_do_not_depend_on_the_batch():
             assert one[3] == certified[k] and one[2] == degree[k]
             assert np.array_equal(one[0], roots[k], equal_nan=True)
             assert np.array_equal(one[1], mults[k])
+
+
+def test_empty_batch_runs_no_solve(monkeypatch):
+    # The sweep's chunks call the kernel even when the prune settles every
+    # row, so an empty batch must not start the closed-form solves.
+    calls = []
+    solve = singularity_module._solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(singularity_module, "_solve", counted)
+    found = quartic_real_roots(np.empty((0, 5)))
+    assert calls == []
+    assert [v.shape for v in found] == [(0, 4), (0, 4), (0,), (0,)]
 
 
 def test_default_grid_falls_back_only_on_its_triple_roots():
