@@ -221,13 +221,16 @@ _RULE_NODES, _RULE_WEIGHTS = _sine_rule(_GL_U, _GL_W)
 
 
 def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
-    """``E_t`` per row over ``[-alpha_sing, alpha_sing]``; 1-D arrays in.
+    """``E_t`` per row over ``[-alpha_sing, alpha_sing]``, of arrays or floats.
 
     Every row of a call shares the one range ``alpha_sing``, a float, so the
     node angles are formed once per call and scale each row's sum alike.
     Rows are reduced one by one, not by a matrix product, so a row's value
     does not depend on the other rows of the call or on the blocking."""
     angles = alpha_sing * _RULE_NODES
+    if np.ndim(h1) == 0:  # one row of floats: one sum, and no block
+        values = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, angles)
+        return alpha_sing * (values * _RULE_WEIGHTS).sum()
     columns = [np.asarray(v)[:, None] for v in (h1, h2, h3, l1, l2, l0)]
     total = np.empty(len(columns[0]))
     for start in range(0, len(total), _GL_BLOCK):
@@ -286,19 +289,18 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     return e0, curvature, codes, tau
 
 
-def _one_row(g: SegmentGeometry, springs: SpringParams) -> np.ndarray:
-    """``(h1, h2, h3, l1, l2, l0)`` of one design: unpacked, numpy scalars
-    that keep numpy's overflow semantics."""
-    return np.array([g.h1, g.h2, g.h3, g.l1, g.l2,
-                     rest_length(g, springs.rest_fraction)])
+def _one_row(g: SegmentGeometry, springs: SpringParams) -> tuple:
+    """``(h1, h2, h3, l1, l2, l0)`` of one design, as floats."""
+    return (*map(float, g._values()), rest_length(g, springs.rest_fraction))
 
 
 def total_energy(g: SegmentGeometry, springs: SpringParams,
                  alpha_sing: float | None = None) -> float:
     """Energy integral over ``[-alpha_sing, alpha_sing]``.
 
-    A fixed 128-node Gauss-Legendre rule, the design sweep's kernel, good to
-    about 1e-12 relative.  ``alpha_sing`` may be passed when already known
+    A fixed 128-node Gauss-Legendre rule, good to about 1e-12 relative: the
+    design sweep's kernel on the design's floats, one sum over the nodes with
+    the bits of the row in a batch.  ``alpha_sing`` may be passed when known
     (it is recomputed from the geometry otherwise) and must be finite and
     >= 0; raises :class:`NoSingularity` for designs with no singularity.
     """
@@ -309,8 +311,8 @@ def total_energy(g: SegmentGeometry, springs: SpringParams,
     if not (alpha_sing >= 0.0 and math.isfinite(alpha_sing)):
         raise ValueError(
             f"alpha_sing must be finite and >= 0, got {alpha_sing!r}")
-    return float(_energy_integral(*_one_row(g, springs)[:, None], springs.k1,
-                                  springs.k2, float(alpha_sing))[0])
+    return float(_energy_integral(*_one_row(g, springs), springs.k1,
+                                  springs.k2, float(alpha_sing)))
 
 
 def classify_home_stability(g: SegmentGeometry,

@@ -8,9 +8,9 @@ the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
 quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
 ``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel,
-:func:`quartic_real_roots`, serves :func:`singular_angles` (one row, root by
-root on numpy scalars, with no array dispatch) and the design sweep (chunks,
-root by root on ``(n,)`` arrays), with the same bits for a row in both; flat
+:func:`quartic_real_roots`, serves :func:`singular_angles` (one row on floats,
+building arrays only for its return) and the design sweep (chunks, root by
+root on ``(n,)`` arrays), with the same bits for a row in both; flat
 designs (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  It starts from
 the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
 Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
@@ -85,7 +85,7 @@ class SingularitySet(_Record):
 
 
 def _where(cond, a, b):
-    """``np.where``, or a plain choice on one row's numpy scalars."""
+    """``np.where``, or a plain choice on one row's floats."""
     if isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
     return a if cond else b
@@ -177,9 +177,9 @@ def _quadratic_roots(mid, c):
 
 # Overflow near a huge or tiny root leaves a row no root there: it falls back.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve(sub: np.ndarray, scale, degree: int) -> list:
+def _solve(sub, scale, degree: int) -> list:
     """Kept real roots of ``(degree + 1, ...)`` columns, NaN where none: a
-    list of ``degree``, each carried alone (a numpy scalar for one row)."""
+    list of ``degree``, each carried alone (a float for one row)."""
     lead, first, *rest = sub[::-1]
     monic = [c / lead for c in sub[:degree]]
     if degree == 3:
@@ -227,7 +227,7 @@ def _solve(sub: np.ndarray, scale, degree: int) -> list:
         for c in rest:
             value = value * t + c
         growth, size = 1.0 + abs(t), abs(value)
-        # np.power as in a batch: a numpy scalar's ** may round otherwise.
+        # np.power as in a batch: a float's ** may round otherwise.
         ok = ((size < np.inf) & (abs(step) <= _STEP_REL * growth)
               & (size <= _RESIDUAL_REL * scale * np.power(growth, degree)))
         kept.append(_where(ok, t, np.nan))
@@ -326,14 +326,29 @@ def quartic_real_roots(coeffs):
     ``coeffs`` is one row ``(5,)`` or ``n`` rows ``(n, 5)``.  Returns
     ``(roots, multiplicities, degree, certified)``: the first two are ``(4,)``
     or ``(n, 4)``, each row sorted ascending and padded with NaN and 0, the
-    last two 0-d or ``(n,)``.  A row gets the same bits alone, root by root on
-    numpy scalars, as in any batch.  Certified rows have simple roots; the
-    others, and all of degree below 3, are solved from the signs at their
-    critical points (a zero row raises :class:`DegenerateInput`).  Only an
-    exact 0 lowers the degree, and in the fallback one below ``_FAR_REL`` of
-    the row's largest.
+    last two an ``np.int64`` and an ``np.bool_``, or ``(n,)``.  A row alone
+    runs on floats, builds only the arrays it returns and gets the bits of
+    any batch.  Certified rows have simple roots; the others, and all of
+    degree below 3, are solved from the signs at their critical points (a
+    zero row raises :class:`DegenerateInput`).  Only an exact 0 lowers the
+    degree, and in the fallback one below ``_FAR_REL`` of the row's largest.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
+    if cols.ndim == 1:  # one row: floats up to the returned arrays
+        c = cols.tolist()
+        scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
+        found = sorted(t for t in (_solve(c[:degree + 1], scale, degree)
+                                   if degree else ()) if t == t)
+        shift = -math.frexp(scale)[1]
+        count = _real_root_count([math.ldexp(v, shift) for v in c])
+        certified = np.bool_(degree and count - (4 - degree) == len(found)
+                             and all(b - a > _SEPARATION_REL * (1.0 + abs(a))
+                                     for a, b in zip(found, found[1:])))
+        found, mults, degree = ((found, [1] * len(found), degree) if certified
+                                else _fallback_roots(c))
+        return (np.array((found + [np.nan] * 4)[:4]),
+                np.array((mults + [0] * 4)[:4], dtype=np.int64),
+                np.int64(degree), certified)
     roots = np.full((4, *cols.shape[1:]), np.nan)
     scale = np.maximum.reduce(abs(cols))
     lead = cols[4] != 0.0
@@ -357,10 +372,7 @@ def quartic_real_roots(coeffs):
     certified = ((count == np.add.reduce(real))
                  & ~np.logical_or.reduce(close) & (degree > 0))
     roots, mults = roots.T, real.T.astype(np.int64)
-    failed = ([()] * (not certified) if certified.ndim == 0  # one row: ()
-              else np.flatnonzero(~certified))
-    for i in failed:
-        degree = np.asarray(degree)  # for one row, a writable 0-d copy
+    for i in np.flatnonzero(~certified):
         found, found_mults, degree[i] = _fallback_roots(cols.T[i])
         roots[i] = (found + [np.nan] * 4)[:4]
         mults[i] = (found_mults + [0] * 4)[:4]
@@ -373,12 +385,13 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
     # power of two is exact short of the subnormals: with the largest
     # dimension in [0.5, 1) the quartic can neither overflow nor vanish.
     dims = (g.h1, g.h2, g.h3, g.l1, g.l2)
-    h1, h2, h3, l1, l2 = dims = np.ldexp(dims, -math.frexp(max(dims))[1])
+    shift = -math.frexp(max(dims))[1]
+    h1, h2, h3, l1, l2 = dims = [math.ldexp(v, shift) for v in dims]
     half = 0.5 * math.pi
     # Flat with B = D = 0 (dimensions 1e300 apart), the kernel raises.
     if h1 == h3 == 0.0 and (h2 * (l1 + l2) or l1 * l2):
         with np.errstate(divide="ignore", over="ignore"):  # D = 0: +-pi/2
-            inner = float(_flat_angle(h2, l1, l2))
+            inner = float(_flat_angle(np.float64(h2), l1, l2))
         loop1, mults = [-half, half], [1, 3 if inner == half else 1]
         if inner < half:  # neither NaN nor the triple root
             loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4

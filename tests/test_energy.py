@@ -401,12 +401,16 @@ def test_total_energy_one_row_equals_the_batched_kernel():
     # ties at once; a row's value must not depend on the rows around it.
     from tenseg.energy import _energy_integral
 
+    # A row alone is one sum over the nodes of its floats, and a Python
+    # float out; at 0 the nodes collapse, at pi they span the half turn.
     designs, springs, rows = random_energy_rows(107, 300)
     own = singular_angles(designs[0]).alpha_sing
-    for a in (0.1, 1.0, math.pi / 2, own):
+    for a in (0.0, 0.1, 1.0, math.pi / 2, own, math.pi):
         batched = _energy_integral(*rows, 1.0, 1.0, a)
-        assert batched.tolist() == [total_energy(g, p, alpha_sing=a)
-                                    for g, p in zip(designs, springs)]
+        alone = [total_energy(g, p, alpha_sing=a)
+                 for g, p in zip(designs, springs)]
+        assert all(type(v) is float for v in alone)
+        assert [v.hex() for v in batched.tolist()] == [v.hex() for v in alone]
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, math.pi / 2, 1.2693])

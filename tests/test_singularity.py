@@ -421,19 +421,53 @@ def design_box(rng, size):
             rng.uniform(0.05, 4.45, size), rng.uniform(0.05, 1.0, size))
 
 
-def test_fallback_counts_on_seeded_designs_are_pinned():
-    # Each uncertified row costs the fallback about 1 ms; a kernel change
-    # that quietly sends more rows there shows here before it shows in time.
-    # Log-uniform designs, scaled by a power of two as singular_angles does.
+def seeded_quartic_sets():
+    """Quartic rows of 20,000 log-uniform designs, scaled by a power of two
+    as singular_angles does, and of 60,000 designs of the sweep's box."""
     rng = np.random.default_rng(1)
     dims = np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (20_000, 5)))
     dims = np.ldexp(dims, -np.frexp(dims.max(axis=1))[1][:, None])
-    certified = quartic_real_roots(quartic_coefficients(*dims.T))[3]
-    assert np.count_nonzero(~certified) == 141
     h1, h2, l1, lam = design_box(np.random.default_rng(1), 60_000)
-    certified = quartic_real_roots(
-        quartic_coefficients(h1, h2, h1, l1, lam * l1))[3]
+    return (quartic_coefficients(*dims.T),
+            quartic_coefficients(h1, h2, h1, l1, lam * l1))
+
+
+def test_fallback_counts_on_seeded_designs_are_pinned():
+    # Each uncertified row costs the fallback about 1 ms; a kernel change
+    # that quietly sends more rows there shows here before it shows in time.
+    log_uniform, box = seeded_quartic_sets()
+    certified = quartic_real_roots(log_uniform)[3]
+    assert np.count_nonzero(~certified) == 141
+    certified = quartic_real_roots(box)[3]
     assert np.count_nonzero(~certified) == 20
+
+
+def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
+    # A row alone finishes on floats: its sort, separation test, root count
+    # and fallback must give the bits of its row in the batch, on every row
+    # of the pinned sets that falls back (141 and 20).
+    for coeffs, fallbacks in zip(seeded_quartic_sets(), (141, 20)):
+        roots, mults, degree, certified = quartic_real_roots(coeffs)
+        failed = np.flatnonzero(~certified)
+        assert len(failed) == fallbacks
+        for i in failed:
+            one = quartic_real_roots(coeffs[i])
+            assert one[0].tobytes() == roots[i].tobytes()
+            assert one[1].tobytes() == mults[i].tobytes()
+            assert one[2] == degree[i] and not one[3]
+
+
+@pytest.mark.parametrize("dims, route", [
+    ((1.0, 1.0, 1.0, 1.0, 1.0), True),
+    ((0.2, 0.5, 0.2, 0.15, 0.15), False),  # the default grid's triple root
+], ids=["certified", "fallback"])
+def test_one_row_returns_the_same_types_on_both_routes(dims, route):
+    roots, mults, degree, certified = quartic_real_roots(
+        quartic_coefficients(*dims))
+    assert certified == route
+    assert type(degree) is np.int64 and type(certified) is np.bool_
+    assert roots.dtype == np.float64 and mults.dtype == np.int64
+    assert roots.shape == mults.shape == (4,)
 
 
 def test_certified_roots_match_oracle_across_magnitudes():
