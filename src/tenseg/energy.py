@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import (SegmentGeometry, _cable_lengths_raw, _home_length,
                        _Record)
-from .singularity import singular_angles
+from .singularity import _float, singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
 _GL_BLOCK = 128
@@ -272,18 +272,18 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     ``(k1 + k2) (rho'^2 + (1 - l0 / rho) (S''/2 - rho'^2))`` so that no term
     exceeds a small multiple of the squared dimensions.
     """
-    # x * x, not x ** 2: on a numpy scalar that calls pow, another rounding.
+    # x * x, not x ** 2: on one row's float that calls pow, another rounding.
     x = l1 - l2
     y = h1 + h2 + h3
     u = h2 + 2.0 * h3
-    rho = np.hypot(x, y)
+    rho = _float(np.hypot(x, y))  # one row: on floats from here
     slope = -(x * u + 2.0 * l2 * y) / rho
     bend = u * u + 4.0 * l2 * l2 + 4.0 * l2 * x - y * (h2 + 4.0 * h3)
     curvature = (k1 + k2) * (slope * slope
                              + (1.0 - l0 / rho) * (bend - slope * slope))
     stretch = rho - l0
     e0 = 0.5 * (k1 * (stretch * stretch) + k2 * (stretch * stretch))
-    tau = _TAU_REL * np.maximum(1.0, e0)
+    tau = _TAU_REL * _float(np.maximum(1.0, e0))
     # Indices into _STABILITY_CODES: 0 above the band, 1 below it, else 2.
     codes = 2 - 2 * (curvature > tau) - (curvature < -tau)
     return e0, curvature, codes, tau

@@ -8,10 +8,11 @@ the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
 quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
 ``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel,
-:func:`quartic_real_roots`, serves :func:`singular_angles` (one row on floats,
-building arrays only for its return) and the design sweep (chunks, root by
-root on ``(n,)`` arrays), with the same bits for a row in both; flat
-designs (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  It starts from
+:func:`quartic_real_roots`, serves :func:`singular_angles` (one row, root by
+root on Python floats, with numpy's own cube root, arctangent and cosine)
+and the design sweep (chunks, root by root on ``(n,)`` arrays), with the same
+bits for a row in both; flat designs (``h1 = h3 = 0``) take
+:func:`_flat_angle` in both.  It starts from
 the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
 Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
 steps and keeps those that converged where ``q`` vanishes to rounding.  It then
@@ -91,6 +92,16 @@ def _where(cond, a, b):
     return a if cond else b
 
 
+def _sqrt(x):
+    """``np.sqrt``, or ``math.sqrt`` (as exact) on one row's float."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _float(x):
+    """An array as it is, and one row's numpy scalar as a float."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
 def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
     """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``, from
     :func:`tenseg.geometry._condition_terms` of float or array dimensions.
@@ -155,21 +166,28 @@ def _real_root_count(unit: np.ndarray) -> np.ndarray:
 
 
 def _largest_cubic_root(a, b):
-    """The largest real root of ``w^3 - 3 a w - 2 b``, elementwise."""
+    """The largest real root of ``w^3 - 3 a w - 2 b``, elementwise; on one
+    row's floats, a float from the one branch that ``disc`` selects."""
     disc = b * b - a * a * a
-    root = np.sqrt(abs(disc))
+    root = _sqrt(abs(disc))
     # One real root (disc > 0), by Cardano; u = 0 only where a = b = 0.
+    # Three: 2 sqrt(a) cos(phi / 3), where cos(phi) = b / a^1.5.
+    if not isinstance(disc, np.ndarray):
+        if disc > 0.0:
+            u = float(np.cbrt(b + math.copysign(root, b)))
+            return u + a / (u + (u == 0.0))
+        return 2.0 * math.sqrt(abs(a)) * float(
+            np.cos(np.arctan2(root, b) / 3.0))
     u = np.cbrt(b + np.copysign(root, b))
     cardano = u + a / (u + (u == 0.0))
-    # Three: 2 sqrt(a) cos(phi / 3), where cos(phi) = b / a^1.5.
     trig = 2.0 * np.sqrt(abs(a)) * np.cos(np.arctan2(root, b) / 3.0)
-    return _where(disc > 0.0, cardano, trig)
+    return np.where(disc > 0.0, cardano, trig)
 
 
 def _quadratic_roots(mid, c):
     """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, as two pairs."""
     disc = mid * mid - c
-    root = np.sqrt(abs(disc))
+    root = _sqrt(abs(disc))
     real = _where(disc >= 0.0, root, 0.0)
     im = root - real
     return (mid + real, im), (mid - real, im)
@@ -204,8 +222,9 @@ def _solve(sub, scale, degree: int) -> list:
         pp = p * p
         w = _largest_cubic_root(pp + 12.0 * r,
                                 p * (pp - 36.0 * r) + 13.5 * q * q)
-        z = np.maximum((w - 2.0 * p) / 3.0, 0.0)
-        s = np.sqrt(z)
+        # np.maximum, not max: it takes -0.0 to +0.0.
+        z = _float(np.maximum((w - 2.0 * p) / 3.0, 0.0))
+        s = _sqrt(z)
         # s >= 0, so s + (s == 0) is s with 0 replaced by 1.
         half_pz, half_qs = 0.5 * (p + z), 0.5 * (q / (s + (s == 0.0)))
         seeds = [*_quadratic_roots(-0.5 * s, half_pz - half_qs),
@@ -320,6 +339,22 @@ def _fallback_roots(row):
     return roots, mults, degree
 
 
+def _row_roots(c: list) -> tuple[list, list, int, bool]:
+    """:func:`quartic_real_roots` of one row of five floats, on floats: the
+    distinct real roots and their multiplicities as lists, the degree and
+    the certificate."""
+    scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
+    found = sorted(t for t in (_solve(c[:degree + 1], scale, degree)
+                               if degree else ()) if t == t)
+    shift = -math.frexp(scale)[1]
+    count = _real_root_count([math.ldexp(v, shift) for v in c])
+    if (degree and count - (4 - degree) == len(found)
+            and all(b - a > _SEPARATION_REL * (1.0 + abs(a))
+                    for a, b in zip(found, found[1:]))):
+        return found, [1] * len(found), degree, True
+    return (*_fallback_roots(c), False)
+
+
 def quartic_real_roots(coeffs):
     """Distinct real roots of each ascending quartic row, certified.
 
@@ -335,20 +370,10 @@ def quartic_real_roots(coeffs):
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
     if cols.ndim == 1:  # one row: floats up to the returned arrays
-        c = cols.tolist()
-        scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
-        found = sorted(t for t in (_solve(c[:degree + 1], scale, degree)
-                                   if degree else ()) if t == t)
-        shift = -math.frexp(scale)[1]
-        count = _real_root_count([math.ldexp(v, shift) for v in c])
-        certified = np.bool_(degree and count - (4 - degree) == len(found)
-                             and all(b - a > _SEPARATION_REL * (1.0 + abs(a))
-                                     for a, b in zip(found, found[1:])))
-        found, mults, degree = ((found, [1] * len(found), degree) if certified
-                                else _fallback_roots(c))
+        found, mults, degree, certified = _row_roots(cols.tolist())
         return (np.array((found + [np.nan] * 4)[:4]),
                 np.array((mults + [0] * 4)[:4], dtype=np.int64),
-                np.int64(degree), certified)
+                np.int64(degree), np.bool_(certified))
     roots = np.full((4, *cols.shape[1:]), np.nan)
     scale = np.maximum.reduce(abs(cols))
     lead = cols[4] != 0.0
@@ -396,16 +421,15 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
         if inner < half:  # neither NaN nor the triple root
             loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4
     else:
-        roots, mults, degree, _ = quartic_real_roots(quartic_coefficients(*dims))
-        real = np.count_nonzero(mults)  # the roots lead, padding follows
+        roots, mults, degree, _ = _row_roots(
+            quartic_coefficients(*dims).tolist())
         # The sweep takes the same arctangent, so both agree to the last bit.
-        loop1 = (2.0 * np.arctan(roots[:real])).tolist()
-        mults = mults[:real].tolist()
+        loop1 = (2.0 * np.arctan(roots)).tolist()
         # t = tan(alpha/2) cannot reach alpha = pi, where the condition
         # equals the leading coefficient: each vanishing one is a root there.
         if degree < 4:
             loop1.append(math.pi)
-            mults.append(4 - int(degree))
+            mults.append(4 - degree)
     loop2 = tuple(sorted(normalize_angle(-a) for a in loop1))
     alpha_sing = min((abs(a) for a in loop1), default=None)
     return SingularitySet(tuple(loop1), loop2, tuple(mults), alpha_sing)

@@ -536,7 +536,7 @@ def test_home_curvature_matches_mpmath():
 
 
 def test_classify_home_stability_one_row_equals_the_batched_kernel():
-    # The scalar call runs its row unbatched, on numpy scalars, through the
+    # The scalar call runs its row unbatched, on Python floats, through the
     # kernel that gives the sweep's winners their verdicts; a row's verdict
     # and its evidence must be the bits of one array call on the batch.
     from tenseg.energy import _STABILITY_CODES, _home_stability
@@ -559,6 +559,20 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
         v.stability for v in verdicts}
     assert [v.curvature for v in verdicts] == curvature.tolist()
     assert [v.threshold for v in verdicts] == tau.tolist()
+
+
+@pytest.mark.parametrize("g", [UNIT, STABLE_FLAT, UNSTABLE_TALL],
+                         ids=["unit", "stable-flat", "unstable-tall"])
+def test_one_row_home_stability_returns_python_floats(g):
+    # After np.hypot and np.maximum a row goes on as floats, not numpy
+    # scalars: E(0), the curvature and tau are Python floats.
+    from tenseg.energy import _home_stability, _one_row
+
+    springs = SpringParams.for_geometry(g, k1=1.3, k2=0.7)
+    e0, curvature, _, tau = _home_stability(*_one_row(g, springs),
+                                            springs.k1, springs.k2)
+    assert type(e0) is float and type(curvature) is float
+    assert type(tau) is float
 
 
 def test_neutral_design_on_the_stability_boundary():

@@ -328,8 +328,9 @@ def test_uncertified_design_runs_the_fallback_once(monkeypatch, g,
                                                    kernel_calls):
     # The tangency's multiplicities come from one fallback call; the flat
     # square's triple root comes from the flat closed form, with no kernel.
+    # singular_angles enters the kernel at its one-row core, _row_roots.
     calls = []
-    for name in ("_fallback_roots", "quartic_real_roots"):
+    for name in ("_fallback_roots", "_row_roots"):
         def counted(*args, kernel=getattr(singularity_module, name)):
             calls.append(args)
             return kernel(*args)
@@ -457,6 +458,39 @@ def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
             assert one[2] == degree[i] and not one[3]
 
 
+def test_one_row_certified_rows_equal_their_batch_rows_on_seeded_designs():
+    # A certified row alone runs its closed-form roots, Newton steps and
+    # residual tests on floats: a fixed sample of 2,000 certified rows of
+    # each pinned set must give the bits of its row in the batch.
+    rng = np.random.default_rng(25)
+    for coeffs in seeded_quartic_sets():
+        roots, mults, degree, certified = quartic_real_roots(coeffs)
+        sample = rng.choice(np.flatnonzero(certified), 2_000, replace=False)
+        for i in sample:
+            one = quartic_real_roots(coeffs[i])
+            assert one[0].tobytes() == roots[i].tobytes()
+            assert one[1].tobytes() == mults[i].tobytes()
+            assert one[2] == degree[i] and one[3]
+
+
+@pytest.mark.parametrize("row, degree, complex_seeds", [
+    (quartic_coefficients(1.0, 1.0, 1.0, 1.0, 1.0), 4, 0),
+    (quartic_coefficients(0.1, 1.9, 0.1, 0.1, 0.05), 4, 2),
+    (quartic_coefficients(1.0, 2.0, 1.0, 1.0, 0.7), 3, 0),  # h2 = 2 h1
+    (np.array([1.0, 0.0, 0.0, 1.0, 0.0]), 3, 2),  # t^3 + 1
+], ids=["quartic-real", "quartic-complex", "cubic-real", "cubic-complex"])
+def test_one_row_solve_returns_python_floats(row, degree, complex_seeds):
+    # A row of floats must stay on floats through the closed form, the
+    # Newton steps and the residual test: a numpy scalar anywhere makes
+    # every later step numpy-scalar arithmetic.
+    c = row.tolist()
+    kept = singularity_module._solve(c[:degree + 1], max(map(abs, c)),
+                                     degree)
+    assert len(kept) == degree
+    assert all(type(t) is float for t in kept)
+    assert sum(t != t for t in kept) == complex_seeds
+
+
 @pytest.mark.parametrize("dims, route", [
     ((1.0, 1.0, 1.0, 1.0, 1.0), True),
     ((0.2, 0.5, 0.2, 0.15, 0.15), False),  # the default grid's triple root
@@ -489,7 +523,7 @@ def test_certified_roots_match_oracle_across_magnitudes():
 
 
 def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
-    # singular_angles runs its row root by root on numpy scalars; on the
+    # singular_angles runs its row root by root on Python floats; on the
     # log-uniform designs above (some of them uncertified), on seeded designs
     # of the sweep's box, and on designs with h2 = 2 h1 exactly (degree 3)
     # or a few ulp off it, it must give the bits of a batch of one, from the
