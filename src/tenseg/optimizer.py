@@ -51,8 +51,8 @@ from .singularity import (_flat_angle, _sign, quartic_coefficients,
                           quartic_real_roots)
 
 _PI_2 = 0.5 * math.pi
-# Nearest singular angles within _SNAP of the pi/2 cap count as attaining it
-# exactly, so boundary designs compare equal in the per-taper tie-breaking.
+# Angles within _SNAP of pi/2 attain the cap and tie (test_capped_alpha_sing);
+# _certified's margin is 2 _SNAP (test_certificate_refuses_a_tiny_h1_sample).
 _SNAP = 1e-7
 # Designs per chunk of the tapers scored row by row: bounds the kernels'
 # temporaries, and so their share of the sweep's peak memory, whatever the

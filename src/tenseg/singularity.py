@@ -11,15 +11,15 @@ quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
 :func:`quartic_real_roots`, serves :func:`singular_angles` (one row, root by
 root on Python floats, with numpy's own cube root, arctangent and cosine)
 and the design sweep (chunks, root by root on ``(n,)`` arrays), with the same
-bits for a row in both; flat designs (``h1 = h3 = 0``) take
-:func:`_flat_angle` in both.  It starts from
-the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
-Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
-steps and keeps those that converged where ``q`` vanishes to rounding.  It then
-counts each row's distinct real roots from the invariants ``I``, ``J``, ``P``
-and ``D`` (Rees, Amer. Math. Monthly 29, 1922), each with a rounding bound.
-A row is certified when the invariants clear their bounds, the count equals
-the number of kept roots and no two kept roots lie within 1e-6 relative.
+bits for a row in both; flat designs (``h1 = h3 = 0``) take :func:`_flat_angle`
+in both.  It starts from the closed-form roots (Ferrari's resolvent cubic, or
+Cardano for a cubic; cf. Flocke, ACM TOMS 41, 2015), polishes each nearly real
+one alone by two Newton steps and keeps those whose last step, on a finite
+non-zero slope, was at most 1e-10 relative.  It then counts each row's
+distinct real roots from the invariants ``I``, ``J``, ``P`` and ``D`` (Rees,
+Amer. Math. Monthly 29, 1922), each with a rounding bound.  A row is certified
+when the invariants clear their bounds, the count equals the number of kept
+roots and no two kept roots lie within 1e-6 relative.
 Other rows (a double or triple root, or a discriminant at the rounding level)
 are solved one by one from the signs of ``q`` at its critical points, which
 split the line into pieces where ``q`` is monotone: a certain sign change
@@ -49,10 +49,8 @@ _FAR_REL = 2.0**-256
 # Relative size above which an imaginary part marks a closed-form starting
 # point, or a critical point of the fallback, as complex.
 _REALISH_REL = 1e-6
-# Largest |q(t)| / (scale * (1 + |t|)**degree) accepted as a root.
-_RESIDUAL_REL = 1e-8
-# Largest last Newton step, relative to 1 + |t|, of a kept root: closed-form
-# starting points are not backward stable, so a small residual is not enough.
+# Largest last Newton step, relative to 1 + |t|, of a kept root; without it
+# test_certified_roots_match_oracle_across_magnitudes fails.
 _STEP_REL = 1e-10
 # Kept roots closer than this (relative) leave the row uncertified.
 _SEPARATION_REL = 1e-6
@@ -193,9 +191,7 @@ def _quadratic_roots(mid, c):
     return (mid + real, im), (mid - real, im)
 
 
-# Overflow near a huge or tiny root leaves a row no root there: it falls back.
-@np.errstate(over="ignore", invalid="ignore")
-def _solve(sub, scale, degree: int) -> list:
+def _solve(sub, degree: int) -> list:
     """Kept real roots of ``(degree + 1, ...)`` columns, NaN where none: a
     list of ``degree``, each carried alone (a float for one row)."""
     lead, first, *rest = sub[::-1]
@@ -245,10 +241,10 @@ def _solve(sub, scale, degree: int) -> list:
         value = lead * t + first
         for c in rest:
             value = value * t + c
-        growth, size = 1.0 + abs(t), abs(value)
-        # np.power as in a batch: a float's ** may round otherwise.
-        ok = ((size < np.inf) & (abs(step) <= _STEP_REL * growth)
-              & (size <= _RESIDUAL_REL * scale * np.power(growth, degree)))
+        # A zero or infinite slope makes the step 0 or NaN: it proves nothing.
+        size = abs(slope)
+        ok = ((abs(value) < np.inf) & (0.0 < size) & (size < np.inf)
+              & (abs(step) <= _STEP_REL * (1.0 + abs(t))))
         kept.append(_where(ok, t, np.nan))
     return kept
 
@@ -344,7 +340,7 @@ def _row_roots(c: list) -> tuple[list, list, int, bool]:
     distinct real roots and their multiplicities as lists, the degree and
     the certificate."""
     scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
-    found = sorted(t for t in (_solve(c[:degree + 1], scale, degree)
+    found = sorted(t for t in (_solve(c[:degree + 1], degree)
                                if degree else ()) if t == t)
     shift = -math.frexp(scale)[1]
     count = _real_root_count([math.ldexp(v, shift) for v in c])
@@ -367,6 +363,8 @@ def quartic_real_roots(coeffs):
     degree below 3, are solved from the signs at their critical points (a
     zero row raises :class:`DegenerateInput`).  Only an exact 0 lowers the
     degree, and in the fallback one below ``_FAR_REL`` of the row's largest.
+    It is meant for rows as :func:`singular_angles` forms them, each entry
+    below 48: on rows spanning 1e+-300 the fallback can overflow and err.
     """
     cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
     if cols.ndim == 1:  # one row: floats up to the returned arrays
@@ -375,23 +373,24 @@ def quartic_real_roots(coeffs):
                 np.array((mults + [0] * 4)[:4], dtype=np.int64),
                 np.int64(degree), np.bool_(certified))
     roots = np.full((4, *cols.shape[1:]), np.nan)
-    scale = np.maximum.reduce(abs(cols))
     lead = cols[4] != 0.0
     degree = 3 * (lead | (cols[3] != 0.0)) + lead
-    for d in (4, 3):
-        rows = degree == d
-        hits = np.count_nonzero(rows)
-        if 0 < hits == rows.size:
-            roots[:d] = _solve(cols[: d + 1], scale, d)
-        elif hits:
-            idx = np.flatnonzero(rows)
-            roots[:d, idx] = _solve(cols[: d + 1, idx], scale[idx], d)
+    # Overflow near a huge or tiny root leaves a row no root: it falls back.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in (4, 3):
+            rows = degree == d
+            hits = np.count_nonzero(rows)
+            if 0 < hits == rows.size:
+                roots[:d] = _solve(cols[: d + 1], d)
+            elif hits:
+                idx = np.flatnonzero(rows)
+                roots[:d, idx] = _solve(cols[: d + 1, idx], d)
     roots.sort(axis=0)
     close = roots[1:] - roots[:-1] <= _SEPARATION_REL * (
         1.0 + abs(roots[:-1]))
     # Scaling by a power of two is exact and keeps the invariants clear of
     # overflow and underflow.
-    unit = np.ldexp(cols, -np.frexp(scale)[1])
+    unit = np.ldexp(cols, -np.frexp(np.maximum.reduce(abs(cols)))[1])
     count = _real_root_count(unit) - (4 - degree)
     real = roots == roots
     certified = ((count == np.add.reduce(real))

@@ -460,7 +460,7 @@ def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
 
 def test_one_row_certified_rows_equal_their_batch_rows_on_seeded_designs():
     # A certified row alone runs its closed-form roots, Newton steps and
-    # residual tests on floats: a fixed sample of 2,000 certified rows of
+    # convergence tests on floats: a fixed sample of 2,000 certified rows of
     # each pinned set must give the bits of its row in the batch.
     rng = np.random.default_rng(25)
     for coeffs in seeded_quartic_sets():
@@ -481,14 +481,54 @@ def test_one_row_certified_rows_equal_their_batch_rows_on_seeded_designs():
 ], ids=["quartic-real", "quartic-complex", "cubic-real", "cubic-complex"])
 def test_one_row_solve_returns_python_floats(row, degree, complex_seeds):
     # A row of floats must stay on floats through the closed form, the
-    # Newton steps and the residual test: a numpy scalar anywhere makes
+    # Newton steps and the convergence test: a numpy scalar anywhere makes
     # every later step numpy-scalar arithmetic.
-    c = row.tolist()
-    kept = singularity_module._solve(c[:degree + 1], max(map(abs, c)),
-                                     degree)
+    kept = singularity_module._solve(row.tolist()[:degree + 1], degree)
     assert len(kept) == degree
     assert all(type(t) is float for t in kept)
     assert sum(t != t for t in kept) == complex_seeds
+
+
+def test_seeds_on_a_zero_slope_are_not_kept():
+    # (t^2 - 1)^2: Ferrari's seeds are exactly +-1, where q and q' both
+    # vanish, so each Newton step is 0 and proves nothing.  Neither a row
+    # nor a batch keeps them; the fallback finds the double roots.
+    row = [1.0, 0.0, -2.0, 0.0, 1.0]
+    assert all(t != t for t in singularity_module._solve(row, 4))
+    kept = singularity_module._solve(np.array(row)[:, None], 4)
+    assert np.isnan(kept).all()
+    roots, mults, degree, certified = quartic_real_roots(np.array(row))
+    assert roots[:2].tolist() == [-1.0, 1.0]
+    assert mults.tolist() == [2, 2, 0, 0] and degree == 4 and not certified
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_row_roots_warn_nowhere_and_equal_their_batch_rows():
+    # A row alone runs outside the batch's np.errstate, so no numpy call in
+    # its path may warn (np.power(1 + |t|, 4) would, for an iterate beyond
+    # 1e77).  The rows are scaled as singular_angles scales them: dimensions
+    # log-uniform in 1e-300..1, designs where h2 = 1 dwarfs the rest (a poor
+    # seed steps far out there), and designs a few parts in 1e7..1e14 off
+    # h2 = 2 h1, each with one root beyond |t| = 1e6.
+    rng = np.random.default_rng(26)
+    wide = np.exp(rng.uniform(math.log(1e-300), 0.0, (600, 5)))
+    tall = np.exp(rng.uniform(math.log(1e-300), math.log(1e-60), (200, 5)))
+    tall[:, 1] = 1.0
+    h1, _, l1, lam = design_box(rng, 200)
+    off = 10.0 ** rng.uniform(-14.0, -7.0, 200) * rng.choice([-1.0, 1.0], 200)
+    near = np.stack([h1, 2.0 * h1 * (1.0 + off), h1, l1, lam * l1], axis=1)
+    dims = np.concatenate([wide, tall, near])
+    coeffs = quartic_coefficients(
+        *np.ldexp(dims, -np.frexp(dims.max(axis=1))[1][:, None]).T)
+    roots, mults, degree, certified = quartic_real_roots(coeffs)
+    assert np.all(np.nanmax(abs(roots[-200:]), axis=1) > 1e6)
+    for i, row in enumerate(coeffs.tolist()):
+        found, found_mults, found_degree, found_certified = (
+            singularity_module._row_roots(row))
+        assert np.array((found + [np.nan] * 4)[:4]).tobytes() == (
+            roots[i].tobytes())
+        assert (found_mults + [0] * 4)[:4] == mults[i].tolist()
+        assert (found_degree, found_certified) == (degree[i], certified[i])
 
 
 @pytest.mark.parametrize("dims, route", [
