@@ -7,19 +7,21 @@ the trapezoid, loop 2 is singular exactly at the negated loop-1 angles.
 
 The loop-1 condition ``A sin a + B cos a + C cos 2a + D sin 2a`` becomes the
 quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
-``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel,
-:func:`quartic_real_roots`, serves :func:`singular_angles` (one row, root by
-root on Python floats, with numpy's own cube root, arctangent and cosine)
-and the design sweep (chunks, root by root on ``(n,)`` arrays), with the same
-bits for a row in both; flat designs (``h1 = h3 = 0``) take :func:`_flat_angle`
-in both.  It starts from the closed-form roots (Ferrari's resolvent cubic, or
-Cardano for a cubic; cf. Flocke, ACM TOMS 41, 2015), polishes each nearly real
-one alone by two Newton steps and keeps those whose last step, on a finite
-non-zero slope, was at most 1e-10 relative.  It then counts each row's
-distinct real roots from the invariants ``I``, ``J``, ``P`` and ``D`` (Rees,
-Amer. Math. Monthly 29, 1922), each with a rounding bound.  A row is certified
-when the invariants clear their bounds, the count equals the number of kept
-roots and no two kept roots lie within 1e-6 relative.
+``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel
+(:func:`_solve`, :func:`_real_root_count` and :func:`_fallback_roots`) has
+two entries: :func:`_row_roots` for :func:`singular_angles` (one row, root by
+root on Python floats, with numpy's own cube root, arctangent and cosine) and
+:func:`quartic_real_roots` for the design sweep (``(n, 5)`` chunks, root by
+root on ``(n,)`` arrays), with the same bits for a row in both; flat designs
+(``h1 = h3 = 0``) take :func:`_flat_angle` in both.  The kernel starts from
+the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
+Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
+steps and keeps those whose last step, on a finite non-zero slope, was at
+most 1e-10 relative.  It then counts each row's distinct real roots from the
+invariants ``I``, ``J``, ``P`` and ``D`` (Rees, Amer. Math. Monthly 29, 1922),
+each with a rounding bound.  A row is certified when the invariants clear
+their bounds, the count equals the number of kept roots and no two kept roots
+lie within 1e-6 relative.
 Other rows (a double or triple root, or a discriminant at the rounding level)
 are solved one by one from the signs of ``q`` at its critical points, which
 split the line into pieces where ``q`` is monotone: a certain sign change
@@ -336,9 +338,10 @@ def _fallback_roots(row):
 
 
 def _row_roots(c: list) -> tuple[list, list, int, bool]:
-    """:func:`quartic_real_roots` of one row of five floats, on floats: the
-    distinct real roots and their multiplicities as lists, the degree and
-    the certificate."""
+    """:func:`quartic_real_roots` of one row of five floats, run on floats:
+    the distinct real roots and their multiplicities as lists, the degree
+    and the certificate.  Certified roots are floats; the fallback's can be
+    ``np.float64``, as it takes its critical points from ``np.roots``."""
     scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
     found = sorted(t for t in (_solve(c[:degree + 1], degree)
                                if degree else ()) if t == t)
@@ -354,25 +357,20 @@ def _row_roots(c: list) -> tuple[list, list, int, bool]:
 def quartic_real_roots(coeffs):
     """Distinct real roots of each ascending quartic row, certified.
 
-    ``coeffs`` is one row ``(5,)`` or ``n`` rows ``(n, 5)``.  Returns
-    ``(roots, multiplicities, degree, certified)``: the first two are ``(4,)``
-    or ``(n, 4)``, each row sorted ascending and padded with NaN and 0, the
-    last two an ``np.int64`` and an ``np.bool_``, or ``(n,)``.  A row alone
-    runs on floats, builds only the arrays it returns and gets the bits of
-    any batch.  Certified rows have simple roots; the others, and all of
-    degree below 3, are solved from the signs at their critical points (a
+    ``coeffs`` is ``(n, 5)``, and a row ``(5,)`` is a batch of one.  Returns
+    ``(roots, multiplicities, degree, certified)``: the first two are
+    ``(n, 4)``, each row sorted ascending and padded with NaN and 0, the last
+    two ``(n,)``.  A row gets the same bits in any batch, and from
+    :func:`_row_roots`.  Certified rows have simple roots; the others, and all
+    of degree below 3, are solved from the signs at their critical points (a
     zero row raises :class:`DegenerateInput`).  Only an exact 0 lowers the
     degree, and in the fallback one below ``_FAR_REL`` of the row's largest.
     It is meant for rows as :func:`singular_angles` forms them, each entry
     below 48: on rows spanning 1e+-300 the fallback can overflow and err.
     """
-    cols = np.ascontiguousarray(np.asarray(coeffs, dtype=float).T)
-    if cols.ndim == 1:  # one row: floats up to the returned arrays
-        found, mults, degree, certified = _row_roots(cols.tolist())
-        return (np.array((found + [np.nan] * 4)[:4]),
-                np.array((mults + [0] * 4)[:4], dtype=np.int64),
-                np.int64(degree), np.bool_(certified))
-    roots = np.full((4, *cols.shape[1:]), np.nan)
+    cols = np.ascontiguousarray(
+        np.atleast_2d(np.asarray(coeffs, dtype=float)).T)
+    roots = np.full((4, cols.shape[1]), np.nan)
     lead = cols[4] != 0.0
     degree = 3 * (lead | (cols[3] != 0.0)) + lead
     # Overflow near a huge or tiny root leaves a row no root: it falls back.

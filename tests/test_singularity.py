@@ -353,37 +353,6 @@ def default_grid_kernel_rows():
     return h1[index], h2[index], l1[index], lam[index], index
 
 
-def test_kernel_rows_do_not_depend_on_the_batch():
-    # The default-grid chunk that holds a fallback row (a triple root at
-    # lambda = 1) and h2 = 2 h1 rows of degree 3.
-    h1, h2, l1, lam, index = default_grid_kernel_rows()
-    target = np.flatnonzero((h1 == 0.2) & (h2 == 0.5) & (lam == 1.0)
-                            & (np.abs(l1 - 0.15) < 1e-12))[0]
-    rows = np.arange(len(index)) // _CHUNK == target // _CHUNK
-    coeffs = quartic_coefficients(h1[rows], h2[rows], h1[rows], l1[rows],
-                                  lam[rows] * l1[rows])
-    unit = coeffs.T / np.abs(coeffs).max()
-    invariants = singularity_module._invariants(unit)
-    roots, mults, degree, certified = quartic_real_roots(coeffs)
-    assert {3, 4} <= set(degree.tolist())
-    assert not certified.all()
-    for k, row in enumerate(coeffs):
-        # The sums, then the sizes: each of the four invariants, column k.
-        for whole, alone, single in zip(
-                invariants, singularity_module._invariants(unit[:, k:k + 1]),
-                singularity_module._invariants(unit[:, k])):
-            assert len(whole) == len(alone) == len(single) == 4
-            for j in range(4):
-                assert np.array_equal(whole[j][k], alone[j][0])
-                assert np.array_equal(whole[j][k], single[j])
-        # A batch of one, and the unbatched (5,) row singular_angles passes.
-        for one in ([v[0] for v in quartic_real_roots(row[None, :])],
-                    quartic_real_roots(row)):
-            assert one[3] == certified[k] and one[2] == degree[k]
-            assert np.array_equal(one[0], roots[k], equal_nan=True)
-            assert np.array_equal(one[1], mults[k])
-
-
 def test_empty_batch_runs_no_solve(monkeypatch):
     # The sweep's chunks call the kernel even when the prune settles every
     # row, so an empty batch must not start the closed-form solves.
@@ -443,36 +412,6 @@ def test_fallback_counts_on_seeded_designs_are_pinned():
     assert np.count_nonzero(~certified) == 20
 
 
-def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
-    # A row alone finishes on floats: its sort, separation test, root count
-    # and fallback must give the bits of its row in the batch, on every row
-    # of the pinned sets that falls back (141 and 20).
-    for coeffs, fallbacks in zip(seeded_quartic_sets(), (141, 20)):
-        roots, mults, degree, certified = quartic_real_roots(coeffs)
-        failed = np.flatnonzero(~certified)
-        assert len(failed) == fallbacks
-        for i in failed:
-            one = quartic_real_roots(coeffs[i])
-            assert one[0].tobytes() == roots[i].tobytes()
-            assert one[1].tobytes() == mults[i].tobytes()
-            assert one[2] == degree[i] and not one[3]
-
-
-def test_one_row_certified_rows_equal_their_batch_rows_on_seeded_designs():
-    # A certified row alone runs its closed-form roots, Newton steps and
-    # convergence tests on floats: a fixed sample of 2,000 certified rows of
-    # each pinned set must give the bits of its row in the batch.
-    rng = np.random.default_rng(25)
-    for coeffs in seeded_quartic_sets():
-        roots, mults, degree, certified = quartic_real_roots(coeffs)
-        sample = rng.choice(np.flatnonzero(certified), 2_000, replace=False)
-        for i in sample:
-            one = quartic_real_roots(coeffs[i])
-            assert one[0].tobytes() == roots[i].tobytes()
-            assert one[1].tobytes() == mults[i].tobytes()
-            assert one[2] == degree[i] and one[3]
-
-
 @pytest.mark.parametrize("row, degree, complex_seeds", [
     (quartic_coefficients(1.0, 1.0, 1.0, 1.0, 1.0), 4, 0),
     (quartic_coefficients(0.1, 1.9, 0.1, 0.1, 0.05), 4, 2),
@@ -497,51 +436,10 @@ def test_seeds_on_a_zero_slope_are_not_kept():
     assert all(t != t for t in singularity_module._solve(row, 4))
     kept = singularity_module._solve(np.array(row)[:, None], 4)
     assert np.isnan(kept).all()
-    roots, mults, degree, certified = quartic_real_roots(np.array(row))
+    roots, mults, degree, certified = (
+        v[0] for v in quartic_real_roots(np.array(row)))
     assert roots[:2].tolist() == [-1.0, 1.0]
     assert mults.tolist() == [2, 2, 0, 0] and degree == 4 and not certified
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_one_row_roots_warn_nowhere_and_equal_their_batch_rows():
-    # A row alone runs outside the batch's np.errstate, so no numpy call in
-    # its path may warn (np.power(1 + |t|, 4) would, for an iterate beyond
-    # 1e77).  The rows are scaled as singular_angles scales them: dimensions
-    # log-uniform in 1e-300..1, designs where h2 = 1 dwarfs the rest (a poor
-    # seed steps far out there), and designs a few parts in 1e7..1e14 off
-    # h2 = 2 h1, each with one root beyond |t| = 1e6.
-    rng = np.random.default_rng(26)
-    wide = np.exp(rng.uniform(math.log(1e-300), 0.0, (600, 5)))
-    tall = np.exp(rng.uniform(math.log(1e-300), math.log(1e-60), (200, 5)))
-    tall[:, 1] = 1.0
-    h1, _, l1, lam = design_box(rng, 200)
-    off = 10.0 ** rng.uniform(-14.0, -7.0, 200) * rng.choice([-1.0, 1.0], 200)
-    near = np.stack([h1, 2.0 * h1 * (1.0 + off), h1, l1, lam * l1], axis=1)
-    dims = np.concatenate([wide, tall, near])
-    coeffs = quartic_coefficients(
-        *np.ldexp(dims, -np.frexp(dims.max(axis=1))[1][:, None]).T)
-    roots, mults, degree, certified = quartic_real_roots(coeffs)
-    assert np.all(np.nanmax(abs(roots[-200:]), axis=1) > 1e6)
-    for i, row in enumerate(coeffs.tolist()):
-        found, found_mults, found_degree, found_certified = (
-            singularity_module._row_roots(row))
-        assert np.array((found + [np.nan] * 4)[:4]).tobytes() == (
-            roots[i].tobytes())
-        assert (found_mults + [0] * 4)[:4] == mults[i].tolist()
-        assert (found_degree, found_certified) == (degree[i], certified[i])
-
-
-@pytest.mark.parametrize("dims, route", [
-    ((1.0, 1.0, 1.0, 1.0, 1.0), True),
-    ((0.2, 0.5, 0.2, 0.15, 0.15), False),  # the default grid's triple root
-], ids=["certified", "fallback"])
-def test_one_row_returns_the_same_types_on_both_routes(dims, route):
-    roots, mults, degree, certified = quartic_real_roots(
-        quartic_coefficients(*dims))
-    assert certified == route
-    assert type(degree) is np.int64 and type(certified) is np.bool_
-    assert roots.dtype == np.float64 and mults.dtype == np.int64
-    assert roots.shape == mults.shape == (4,)
 
 
 def test_certified_roots_match_oracle_across_magnitudes():
@@ -562,12 +460,35 @@ def test_certified_roots_match_oracle_across_magnitudes():
             row, mine, oracle)
 
 
-def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
-    # singular_angles runs its row root by root on Python floats; on the
-    # log-uniform designs above (some of them uncertified), on seeded designs
-    # of the sweep's box, and on designs with h2 = 2 h1 exactly (degree 3)
-    # or a few ulp off it, it must give the bits of a batch of one, from the
-    # same power-of-two scaled dimensions.
+def row_sets():
+    """The quartic rows held to their batch rows, by name, and the
+    dimensions behind the ``designs`` rows.
+
+    - ``chunk``: the default-grid chunk that holds a fallback row (a triple
+      root at lambda = 1) and ``h2 = 2 h1`` rows of degree 3;
+    - ``log-uniform`` and ``box``: the pinned seeded sets;
+    - ``extreme``: rows scaled as :func:`singular_angles` scales them, from
+      dimensions log-uniform in 1e-300..1, designs where ``h2 = 1`` dwarfs
+      the rest (a poor seed steps far out there), and designs a few parts in
+      1e7..1e14 off ``h2 = 2 h1``, each with one root beyond ``|t| = 1e6``;
+    - ``designs``: :func:`singular_angles`' own rows, of log-uniform designs
+      (some uncertified), designs of the sweep's box, and designs with
+      ``h2 = 2 h1`` exactly (degree 3) or a few ulp off it.
+    """
+    h1, h2, l1, lam, index = default_grid_kernel_rows()
+    target = np.flatnonzero((h1 == 0.2) & (h2 == 0.5) & (lam == 1.0)
+                            & (np.abs(l1 - 0.15) < 1e-12))[0]
+    rows = np.arange(len(index)) // _CHUNK == target // _CHUNK
+    table = {"chunk": quartic_coefficients(h1[rows], h2[rows], h1[rows],
+                                           l1[rows], lam[rows] * l1[rows])}
+    table["log-uniform"], table["box"] = seeded_quartic_sets()
+    rng = np.random.default_rng(26)
+    wide = np.exp(rng.uniform(math.log(1e-300), 0.0, (600, 5)))
+    tall = np.exp(rng.uniform(math.log(1e-300), math.log(1e-60), (200, 5)))
+    tall[:, 1] = 1.0
+    h1, _, l1, lam = design_box(rng, 200)
+    off = 10.0 ** rng.uniform(-14.0, -7.0, 200) * rng.choice([-1.0, 1.0], 200)
+    near = np.stack([h1, 2.0 * h1 * (1.0 + off), h1, l1, lam * l1], axis=1)
     rng = np.random.default_rng(1)
     dims = [np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))]
     h1, h2, l1, lam = design_box(rng, 200)
@@ -579,21 +500,87 @@ def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
         h2 = np.where(ulps >= step, np.nextafter(h2, 3.0), h2)
         h2 = np.where(ulps <= -step, np.nextafter(h2, 0.0), h2)
     dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
-    degrees = []
-    for row in np.concatenate(dims):
-        unit = np.ldexp(row, -np.frexp(row.max())[1])
-        roots, mults, degree, _ = (v[0] for v in quartic_real_roots(
-            quartic_coefficients(*unit)[None, :]))
-        at_pi = [math.pi] * int(degree < 4)
-        degrees.append(int(degree))
-        found = singular_angles(SegmentGeometry(*row))
-        assert found.loop1 == tuple(
-            (2.0 * np.arctan(roots[mults > 0])).tolist() + at_pi)
-        assert found.multiplicities == tuple(
-            mults[mults > 0].tolist() + [4 - int(degree)] * len(at_pi))
-    # The ten designs with h2 = 2 h1 exactly are cubics.
-    assert degrees[-50:-40] == [3] * 10
+    designs = np.concatenate(dims)
+    for name, part in (("extreme", np.concatenate([wide, tall, near])),
+                       ("designs", designs)):
+        table[name] = quartic_coefficients(
+            *np.ldexp(part, -np.frexp(part.max(axis=1))[1][:, None]).T)
+    return table, designs
 
+
+def assert_row_alone(row, roots, mults, degree, certified):
+    """``_row_roots`` of the list ``row`` gives its batch row's bits, degree
+    and certificate, and certified roots are floats."""
+    found, found_mults, found_degree, found_certified = (
+        singularity_module._row_roots(row))
+    assert np.array((found + [np.nan] * 4)[:4]).tobytes() == (
+        roots.tobytes()), row
+    assert (found_mults + [0] * 4)[:4] == mults.tolist(), row
+    assert (found_degree, found_certified) == (degree, certified), row
+    assert not found_certified or all(type(t) is float for t in found), row
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_alone_gives_the_bits_of_its_batch_row():
+    # _row_roots runs a row on floats, outside the batch's np.errstate, so no
+    # numpy call on its path may warn (np.power(1 + |t|, 4) would, on the
+    # extreme rows).  Every row set is one batch; each row checked alone
+    # must give the bits of its row there.
+    table, designs = row_sets()
+    coeffs = np.concatenate(list(table.values()))
+    roots, mults, degree, certified = quartic_real_roots(coeffs)
+    ends = np.cumsum([len(part) for part in table.values()])
+    span = {name: np.arange(end - len(part), end)
+            for (name, part), end in zip(table.items(), ends)}
+    # Of the seeded sets, their fallback rows and 2,000 certified rows each.
+    rng = np.random.default_rng(25)
+    checked = [span["chunk"], span["extreme"], span["designs"]]
+    for name in ("log-uniform", "box"):
+        rows = span[name]
+        checked += [rows[~certified[rows]],
+                    rng.choice(rows[certified[rows]], 2_000, replace=False)]
+    rows = coeffs.tolist()
+    for i in np.concatenate(checked).tolist():
+        assert_row_alone(rows[i], roots[i], mults[i], degree[i], certified[i])
+    # A (5,) row is a batch of one, certified or not (the default grid's
+    # triple root).
+    for g, route in ((UNIT, True),
+                     (SegmentGeometry(0.2, 0.5, 0.2, 0.15, 0.15), False)):
+        row = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)
+        one = quartic_real_roots(row)
+        assert [(v.shape, v.dtype) for v in one] == [
+            ((1, 4), np.float64), ((1, 4), np.int64), ((1,), np.int64),
+            ((1,), np.bool_)]
+        assert one[3][0] == route
+        assert_row_alone(row.tolist(), *(v[0] for v in one))
+    # The table holds what each row set is there for.
+    chunk = span["chunk"]
+    assert {3, 4} <= set(degree[chunk].tolist())
+    assert not certified[chunk].all()
+    assert np.all(np.nanmax(abs(roots[span["extreme"][-200:]]), axis=1) > 1e6)
+    assert degree[span["designs"][-50:-40]].tolist() == [3] * 10
+    # A column's invariants do not depend on the other columns: those of the
+    # chunk, of a batch of one column, and of one column of floats.
+    unit = table["chunk"].T / np.abs(table["chunk"]).max()
+    whole = [[v.tolist() for v in half]
+             for half in singularity_module._invariants(unit)]
+    for k in range(unit.shape[1]):
+        alone = singularity_module._invariants(unit[:, k:k + 1])
+        single = singularity_module._invariants(unit[:, k].tolist())
+        for whole_half, alone_half, single_half in zip(whole, alone, single):
+            assert len(whole_half) == len(alone_half) == len(single_half) == 4
+            for j in range(4):
+                assert whole_half[j][k] == alone_half[j][0] == single_half[j]
+    # singular_angles maps each root t to 2 atan(t), and adds pi with
+    # multiplicity 4 - degree.
+    for g, i in zip(designs.tolist(), span["designs"]):
+        at_pi = [math.pi] * int(degree[i] < 4)
+        found = singular_angles(SegmentGeometry(*g))
+        real = mults[i] > 0
+        assert found.loop1 == tuple(
+            (2.0 * np.arctan(roots[i][real])).tolist() + at_pi)
+        assert found.multiplicities == tuple(
+            mults[i][real].tolist() + [4 - int(degree[i])] * len(at_pi))
 
 def oracle_roots(g):
     """Loop-1 singular angles of ``g`` found by mpmath at 30 digits.
