@@ -539,7 +539,7 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
     # The scalar call runs its row unbatched, on Python floats, through the
     # kernel that gives the sweep's winners their verdicts; a row's verdict
     # and its evidence must be the bits of one array call on the batch.
-    from tenseg.energy import _STABILITY_CODES, _home_stability, _one_row
+    from tenseg.energy import _STABILITY_CODES, _home_stability
 
     rng = np.random.default_rng(127)
     # The first design's h2 + 2 h3 is a float whose square pow(x, 2) rounds
@@ -550,9 +550,6 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
     springs = [SpringParams.for_geometry(
         g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
         rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
-    designs += [UNIT, STABLE_FLAT, UNSTABLE_TALL]
-    springs += [SpringParams.for_geometry(g, k1=1.3, k2=0.7)
-                for g in designs[-3:]]
     _, curvature, codes, tau = _home_stability(*kernel_rows(designs, springs))
     verdicts = [classify_home_stability(g, p)
                 for g, p in zip(designs, springs)]
@@ -562,12 +559,20 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
         v.stability for v in verdicts}
     assert [v.curvature for v in verdicts] == curvature.tolist()
     assert [v.threshold for v in verdicts] == tau.tolist()
+
+
+@pytest.mark.parametrize("g", [UNIT, STABLE_FLAT, UNSTABLE_TALL],
+                         ids=["unit", "stable-flat", "unstable-tall"])
+def test_one_row_home_stability_returns_python_floats(g):
     # After np.hypot and np.maximum a row goes on as floats, not numpy
     # scalars: E(0), the curvature and tau are Python floats.
-    for g, p in zip(designs, springs):
-        e0, kappa, _, threshold = _home_stability(*_one_row(g, p), p.k1,
-                                                  p.k2)
-        assert type(e0) is type(kappa) is type(threshold) is float
+    from tenseg.energy import _home_stability, _one_row
+
+    springs = SpringParams.for_geometry(g, k1=1.3, k2=0.7)
+    e0, curvature, _, tau = _home_stability(*_one_row(g, springs),
+                                            springs.k1, springs.k2)
+    assert type(e0) is float and type(curvature) is float
+    assert type(tau) is float
 
 
 def test_neutral_design_on_the_stability_boundary():

@@ -460,52 +460,22 @@ def test_certified_roots_match_oracle_across_magnitudes():
             row, mine, oracle)
 
 
-def row_sets():
-    """The quartic rows held to their batch rows, by name, and the
-    dimensions behind the ``designs`` rows.
-
-    - ``chunk``: the default-grid chunk that holds a fallback row (a triple
-      root at lambda = 1) and ``h2 = 2 h1`` rows of degree 3;
-    - ``log-uniform`` and ``box``: the pinned seeded sets;
-    - ``extreme``: rows scaled as :func:`singular_angles` scales them, from
-      dimensions log-uniform in 1e-300..1, designs where ``h2 = 1`` dwarfs
-      the rest (a poor seed steps far out there), and designs a few parts in
-      1e7..1e14 off ``h2 = 2 h1``, each with one root beyond ``|t| = 1e6``;
-    - ``designs``: :func:`singular_angles`' own rows, of log-uniform designs
-      (some uncertified), designs of the sweep's box, and designs with
-      ``h2 = 2 h1`` exactly (degree 3) or a few ulp off it.
-    """
+def default_grid_chunk():
+    """Quartic rows of the default-grid chunk that holds a fallback row (a
+    triple root at lambda = 1) and ``h2 = 2 h1`` rows of degree 3."""
     h1, h2, l1, lam, index = default_grid_kernel_rows()
     target = np.flatnonzero((h1 == 0.2) & (h2 == 0.5) & (lam == 1.0)
                             & (np.abs(l1 - 0.15) < 1e-12))[0]
     rows = np.arange(len(index)) // _CHUNK == target // _CHUNK
-    table = {"chunk": quartic_coefficients(h1[rows], h2[rows], h1[rows],
-                                           l1[rows], lam[rows] * l1[rows])}
-    table["log-uniform"], table["box"] = seeded_quartic_sets()
-    rng = np.random.default_rng(26)
-    wide = np.exp(rng.uniform(math.log(1e-300), 0.0, (600, 5)))
-    tall = np.exp(rng.uniform(math.log(1e-300), math.log(1e-60), (200, 5)))
-    tall[:, 1] = 1.0
-    h1, _, l1, lam = design_box(rng, 200)
-    off = 10.0 ** rng.uniform(-14.0, -7.0, 200) * rng.choice([-1.0, 1.0], 200)
-    near = np.stack([h1, 2.0 * h1 * (1.0 + off), h1, l1, lam * l1], axis=1)
-    rng = np.random.default_rng(1)
-    dims = [np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))]
-    h1, h2, l1, lam = design_box(rng, 200)
-    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
-    h1, _, l1, lam = design_box(rng, 90)
-    ulps = np.repeat(np.arange(-4, 5), 10)  # ten designs per offset
-    h2 = 2.0 * h1
-    for step in range(1, 5):
-        h2 = np.where(ulps >= step, np.nextafter(h2, 3.0), h2)
-        h2 = np.where(ulps <= -step, np.nextafter(h2, 0.0), h2)
-    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
-    designs = np.concatenate(dims)
-    for name, part in (("extreme", np.concatenate([wide, tall, near])),
-                       ("designs", designs)):
-        table[name] = quartic_coefficients(
-            *np.ldexp(part, -np.frexp(part.max(axis=1))[1][:, None]).T)
-    return table, designs
+    return quartic_coefficients(h1[rows], h2[rows], h1[rows], l1[rows],
+                                lam[rows] * l1[rows])
+
+
+def scaled_rows(dims):
+    """Quartic rows of the dimension rows ``dims``, each scaled by a power of
+    two as :func:`singular_angles` scales it."""
+    return quartic_coefficients(
+        *np.ldexp(dims, -np.frexp(dims.max(axis=1))[1][:, None]).T)
 
 
 def assert_row_alone(row, roots, mults, degree, certified):
@@ -521,47 +491,23 @@ def assert_row_alone(row, roots, mults, degree, certified):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_row_alone_gives_the_bits_of_its_batch_row():
-    # _row_roots runs a row on floats, outside the batch's np.errstate, so no
-    # numpy call on its path may warn (np.power(1 + |t|, 4) would, on the
-    # extreme rows).  Every row set is one batch; each row checked alone
-    # must give the bits of its row there.
-    table, designs = row_sets()
-    coeffs = np.concatenate(list(table.values()))
-    roots, mults, degree, certified = quartic_real_roots(coeffs)
-    ends = np.cumsum([len(part) for part in table.values()])
-    span = {name: np.arange(end - len(part), end)
-            for (name, part), end in zip(table.items(), ends)}
-    # Of the seeded sets, their fallback rows and 2,000 certified rows each.
-    rng = np.random.default_rng(25)
-    checked = [span["chunk"], span["extreme"], span["designs"]]
-    for name in ("log-uniform", "box"):
-        rows = span[name]
-        checked += [rows[~certified[rows]],
-                    rng.choice(rows[certified[rows]], 2_000, replace=False)]
-    rows = coeffs.tolist()
-    for i in np.concatenate(checked).tolist():
-        assert_row_alone(rows[i], roots[i], mults[i], degree[i], certified[i])
-    # A (5,) row is a batch of one, certified or not (the default grid's
-    # triple root).
-    for g, route in ((UNIT, True),
-                     (SegmentGeometry(0.2, 0.5, 0.2, 0.15, 0.15), False)):
-        row = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)
-        one = quartic_real_roots(row)
-        assert [(v.shape, v.dtype) for v in one] == [
-            ((1, 4), np.float64), ((1, 4), np.int64), ((1,), np.int64),
-            ((1,), np.bool_)]
-        assert one[3][0] == route
-        assert_row_alone(row.tolist(), *(v[0] for v in one))
-    # The table holds what each row set is there for.
-    chunk = span["chunk"]
-    assert {3, 4} <= set(degree[chunk].tolist())
-    assert not certified[chunk].all()
-    assert np.all(np.nanmax(abs(roots[span["extreme"][-200:]]), axis=1) > 1e6)
-    assert degree[span["designs"][-50:-40]].tolist() == [3] * 10
+def test_kernel_rows_do_not_depend_on_the_batch():
+    # Each row of the chunk gives the bits of its chunk row alone, as the
+    # (5,) row that is a batch of one, and on floats through _row_roots.
+    coeffs = default_grid_chunk()
+    batch = quartic_real_roots(coeffs)
+    roots, mults, degree, certified = batch
+    assert {3, 4} <= set(degree.tolist())
+    assert not certified.all()
+    for k, row in enumerate(coeffs):
+        one = [v[0] for v in quartic_real_roots(row)]
+        assert one[3] == certified[k] and one[2] == degree[k]
+        assert one[0].tobytes() == roots[k].tobytes()
+        assert one[1].tobytes() == mults[k].tobytes()
+        assert_row_alone(row.tolist(), *(v[k] for v in batch))
     # A column's invariants do not depend on the other columns: those of the
     # chunk, of a batch of one column, and of one column of floats.
-    unit = table["chunk"].T / np.abs(table["chunk"]).max()
+    unit = coeffs.T / np.abs(coeffs).max()
     whole = [[v.tolist() for v in half]
              for half in singularity_module._invariants(unit)]
     for k in range(unit.shape[1]):
@@ -571,16 +517,108 @@ def test_a_row_alone_gives_the_bits_of_its_batch_row():
             assert len(whole_half) == len(alone_half) == len(single_half) == 4
             for j in range(4):
                 assert whole_half[j][k] == alone_half[j][0] == single_half[j]
-    # singular_angles maps each root t to 2 atan(t), and adds pi with
-    # multiplicity 4 - degree.
-    for g, i in zip(designs.tolist(), span["designs"]):
-        at_pi = [math.pi] * int(degree[i] < 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
+    # A row alone finishes on floats: its sort, separation test, root count
+    # and fallback must give the bits of its row in the batch, on every row
+    # of the pinned sets that falls back (141 and 20).
+    for coeffs, fallbacks in zip(seeded_quartic_sets(), (141, 20)):
+        batch = quartic_real_roots(coeffs)
+        failed = np.flatnonzero(~batch[3])
+        assert len(failed) == fallbacks
+        for i in failed.tolist():
+            assert_row_alone(coeffs[i].tolist(), *(v[i] for v in batch))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_row_certified_rows_equal_their_batch_rows_on_seeded_designs():
+    # A certified row alone runs its closed-form roots, Newton steps and
+    # convergence tests on floats: a fixed sample of 2,000 certified rows of
+    # each pinned set must give the bits of its row in the batch.
+    rng = np.random.default_rng(25)
+    for coeffs in seeded_quartic_sets():
+        batch = quartic_real_roots(coeffs)
+        sample = rng.choice(np.flatnonzero(batch[3]), 2_000, replace=False)
+        for i in sample.tolist():
+            assert_row_alone(coeffs[i].tolist(), *(v[i] for v in batch))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_row_roots_warn_nowhere_and_equal_their_batch_rows():
+    # A row alone runs outside the batch's np.errstate, so no numpy call in
+    # its path may warn (np.power(1 + |t|, 4) would, for an iterate beyond
+    # 1e77).  The rows are scaled as singular_angles scales them: dimensions
+    # log-uniform in 1e-300..1, designs where h2 = 1 dwarfs the rest (a poor
+    # seed steps far out there), and designs a few parts in 1e7..1e14 off
+    # h2 = 2 h1, each with one root beyond |t| = 1e6.
+    rng = np.random.default_rng(26)
+    wide = np.exp(rng.uniform(math.log(1e-300), 0.0, (600, 5)))
+    tall = np.exp(rng.uniform(math.log(1e-300), math.log(1e-60), (200, 5)))
+    tall[:, 1] = 1.0
+    h1, _, l1, lam = design_box(rng, 200)
+    off = 10.0 ** rng.uniform(-14.0, -7.0, 200) * rng.choice([-1.0, 1.0], 200)
+    near = np.stack([h1, 2.0 * h1 * (1.0 + off), h1, l1, lam * l1], axis=1)
+    coeffs = scaled_rows(np.concatenate([wide, tall, near]))
+    batch = quartic_real_roots(coeffs)
+    assert np.all(np.nanmax(abs(batch[0][-200:]), axis=1) > 1e6)
+    for i, row in enumerate(coeffs.tolist()):
+        assert_row_alone(row, *(v[i] for v in batch))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims, route", [
+    ((1.0, 1.0, 1.0, 1.0, 1.0), True),
+    ((0.2, 0.5, 0.2, 0.15, 0.15), False),  # the default grid's triple root
+], ids=["certified", "fallback"])
+def test_one_row_returns_the_same_types_on_both_routes(dims, route):
+    # A (5,) row is a batch of one on both routes, with the bits, degree and
+    # certificate of the row alone.
+    row = quartic_coefficients(*dims)
+    one = quartic_real_roots(row)
+    assert [(v.shape, v.dtype) for v in one] == [
+        ((1, 4), np.float64), ((1, 4), np.int64), ((1,), np.int64),
+        ((1,), np.bool_)]
+    assert one[3][0] == route
+    assert_row_alone(row.tolist(), *(v[0] for v in one))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_angles_equal_a_one_row_batch_across_magnitudes():
+    # singular_angles runs its row root by root on Python floats; on the
+    # log-uniform designs above (some of them uncertified), on seeded designs
+    # of the sweep's box, and on designs with h2 = 2 h1 exactly (degree 3)
+    # or a few ulp off it, it must give the bits of a batch of one, from the
+    # same power-of-two scaled dimensions: each root t maps to 2 atan(t), and
+    # pi comes with multiplicity 4 - degree.
+    rng = np.random.default_rng(1)
+    dims = [np.exp(rng.uniform(math.log(1e-4), math.log(1e2), (400, 5)))]
+    h1, h2, l1, lam = design_box(rng, 200)
+    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
+    h1, _, l1, lam = design_box(rng, 90)
+    ulps = np.repeat(np.arange(-4, 5), 10)  # ten designs per offset
+    h2 = 2.0 * h1
+    for step in range(1, 5):
+        h2 = np.where(ulps >= step, np.nextafter(h2, 3.0), h2)
+        h2 = np.where(ulps <= -step, np.nextafter(h2, 0.0), h2)
+    dims.append(np.stack([h1, h2, h1, l1, lam * l1], axis=1))
+    dims = np.concatenate(dims)
+    degrees = []
+    for g, row in zip(dims.tolist(), scaled_rows(dims)):
+        roots, mults, degree, certified = (
+            v[0] for v in quartic_real_roots(row))
+        assert_row_alone(row.tolist(), roots, mults, degree, certified)
+        at_pi = [math.pi] * int(degree < 4)
+        degrees.append(int(degree))
         found = singular_angles(SegmentGeometry(*g))
-        real = mults[i] > 0
         assert found.loop1 == tuple(
-            (2.0 * np.arctan(roots[i][real])).tolist() + at_pi)
+            (2.0 * np.arctan(roots[mults > 0])).tolist() + at_pi)
         assert found.multiplicities == tuple(
-            mults[i][real].tolist() + [4 - int(degree[i])] * len(at_pi))
+            mults[mults > 0].tolist() + [4 - int(degree)] * len(at_pi))
+    # The ten designs with h2 = 2 h1 exactly are cubics.
+    assert degrees[-50:-40] == [3] * 10
+
 
 def oracle_roots(g):
     """Loop-1 singular angles of ``g`` found by mpmath at 30 digits.
