@@ -15,7 +15,7 @@ root on Python floats, with numpy's own cube root, arctangent and cosine) and
 root on ``(n,)`` arrays), with the same bits for a row in both; flat designs
 (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  The kernel starts from
 the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
-Flocke, ACM TOMS 41, 2015), polishes each nearly real one alone by two Newton
+Flocke, ACM TOMS 41, 2015), polishes each real one alone by two Newton
 steps and keeps those whose last step, on a finite non-zero slope, was at
 most 1e-10 relative.  It then counts each row's distinct real roots from the
 invariants ``I``, ``J``, ``P`` and ``D`` (Rees, Amer. Math. Monthly 29, 1922),
@@ -48,13 +48,16 @@ _ROUNDING_REL = 2.0 * float(np.finfo(float).eps)
 # The fallback drops a leading coefficient at most _FAR_REL of the row's
 # largest: its root lies beyond 2**64, where alpha rounds to pi.
 _FAR_REL = 2.0**-256
-# Relative size above which an imaginary part marks a closed-form starting
-# point, or a critical point of the fallback, as complex.
+# Relative size above which an imaginary part marks a critical point of the
+# fallback (np.roots of q') as complex; at 0, a triple root comes back simple
+# in test_forced_multiple_roots_recover_their_multiplicities.
 _REALISH_REL = 1e-6
 # Largest last Newton step, relative to 1 + |t|, of a kept root; without it
 # test_certified_roots_match_oracle_across_magnitudes fails.
 _STEP_REL = 1e-10
-# Kept roots closer than this (relative) leave the row uncertified.
+# Kept roots closer than this (relative) leave the row uncertified, which
+# test_seeds_on_one_root_leave_the_row_uncertified needs; the width is not
+# witnessed (at 0, none of 680,000 seeded rows changed).
 _SEPARATION_REL = 1e-6
 # Rounding bound of an invariant, relative to the sum of its terms' sizes:
 # each takes at most a dozen roundings, so this is over 20 times generous.
@@ -185,12 +188,10 @@ def _largest_cubic_root(a, b):
 
 
 def _quadratic_roots(mid, c):
-    """Roots ``(re, im >= 0)`` of ``y^2 - 2 mid y + c``, as two pairs."""
+    """Real roots of ``y^2 - 2 mid y + c``, or NaN for both if complex."""
     disc = mid * mid - c
-    root = _sqrt(abs(disc))
-    real = _where(disc >= 0.0, root, 0.0)
-    im = root - real
-    return (mid + real, im), (mid - real, im)
+    real = _where(disc >= 0.0, _sqrt(abs(disc)), np.nan)
+    return mid + real, mid - real
 
 
 def _solve(sub, degree: int) -> list:
@@ -206,7 +207,7 @@ def _solve(sub, degree: int) -> list:
         p = a1 - 3.0 * shift * shift
         w = _largest_cubic_root(
             p / -3.0, -0.5 * (a0 + shift * (a1 + shift * (a2 + shift))))
-        seeds = [(w, 0.0), *_quadratic_roots(-0.5 * w, p + w * w)]
+        seeds = [w, *_quadratic_roots(-0.5 * w, p + w * w)]
     else:
         # Ferrari: t = y + shift gives y^4 + p y^2 + q y + r.  Its resolvent
         # z^3 + 2p z^2 + (p^2 - 4r) z - q^2 has a root z = (w - 2p) / 3 >= 0,
@@ -228,9 +229,8 @@ def _solve(sub, degree: int) -> list:
         seeds = [*_quadratic_roots(-0.5 * s, half_pz - half_qs),
                  *_quadratic_roots(0.5 * s, half_pz + half_qs)]
     kept = []
-    for re, im in seeds:
-        t = re + shift
-        t = _where(im > _REALISH_REL * (1.0 + abs(t)), np.nan, t)
+    for seed in seeds:
+        t = seed + shift
         # Two Newton steps by Horner from the leading coefficient down; its
         # first step (slope 0, value lead) is folded in, exact for finite t.
         for _ in range(2):
@@ -307,7 +307,7 @@ def _fallback_roots(row):
     ddc = [k * v for k, v in enumerate(dc)][1:]
     bound = _cauchy_bound(c)
     lead = 1 if c[-1] > 0.0 else -1
-    critical = sorted({z.real for z in np.roots(dc[::-1])
+    critical = sorted({float(z.real) for z in np.roots(dc[::-1])
                        if abs(z.imag) <= _REALISH_REL * (1.0 + abs(z.real))})
     probes = [(-bound, lead * (-1) ** degree),
               *((x, _sign(c, x)) for x in critical if abs(x) < bound),
@@ -321,8 +321,8 @@ def _fallback_roots(row):
         if run:
             at, mult = min(run, key=lambda r: abs(_horner(c, r)[0])), 2
             if sign != sign_left:
-                at, mult = min(np.roots(ddc[::-1]).real,
-                               key=lambda r: abs(r - at)), 3
+                at, mult = float(min(np.roots(ddc[::-1]).real,
+                                     key=lambda r: abs(r - at))), 3
             elif degree == 4:
                 # Only a quadruple root has q = q'' = 0 where q''' vanishes.
                 center = -c[3] / (4.0 * c[4])
@@ -339,9 +339,8 @@ def _fallback_roots(row):
 
 def _row_roots(c: list) -> tuple[list, list, int, bool]:
     """:func:`quartic_real_roots` of one row of five floats, run on floats:
-    the distinct real roots and their multiplicities as lists, the degree
-    and the certificate.  Certified roots are floats; the fallback's can be
-    ``np.float64``, as it takes its critical points from ``np.roots``."""
+    the distinct real roots (floats) and their multiplicities as lists, the
+    degree and the certificate."""
     scale, degree = max(map(abs, c)), 3 * bool(c[4] or c[3]) + bool(c[4])
     found = sorted(t for t in (_solve(c[:degree + 1], degree)
                                if degree else ()) if t == t)
@@ -376,12 +375,8 @@ def quartic_real_roots(coeffs):
     # Overflow near a huge or tiny root leaves a row no root: it falls back.
     with np.errstate(over="ignore", invalid="ignore"):
         for d in (4, 3):
-            rows = degree == d
-            hits = np.count_nonzero(rows)
-            if 0 < hits == rows.size:
-                roots[:d] = _solve(cols[: d + 1], d)
-            elif hits:
-                idx = np.flatnonzero(rows)
+            idx = np.flatnonzero(degree == d)
+            if idx.size:
                 roots[:d, idx] = _solve(cols[: d + 1, idx], d)
     roots.sort(axis=0)
     close = roots[1:] - roots[:-1] <= _SEPARATION_REL * (

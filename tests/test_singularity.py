@@ -417,7 +417,12 @@ def test_fallback_counts_on_seeded_designs_are_pinned():
     (quartic_coefficients(0.1, 1.9, 0.1, 0.1, 0.05), 4, 2),
     (quartic_coefficients(1.0, 2.0, 1.0, 1.0, 0.7), 3, 0),  # h2 = 2 h1
     (np.array([1.0, 0.0, 0.0, 1.0, 0.0]), 3, 2),  # t^3 + 1
-], ids=["quartic-real", "quartic-complex", "cubic-real", "cubic-complex"])
+    # ((t - 0.3001)^2 + 1e-14)(t - 0.3)(t - 2), expanded in floats: the
+    # pair's seeds are complex, so both are NaN, not 0.3001 kept twice.
+    (np.array([0.05403600600000599, -0.5672580230000229, 2.07052001000001,
+               -2.9002, 1.0]), 4, 2),
+], ids=["quartic-real", "quartic-complex", "cubic-real", "cubic-complex",
+        "near-real-pair"])
 def test_one_row_solve_returns_python_floats(row, degree, complex_seeds):
     # A row of floats must stay on floats through the closed form, the
     # Newton steps and the convergence test: a numpy scalar anywhere makes
@@ -440,6 +445,29 @@ def test_seeds_on_a_zero_slope_are_not_kept():
         v[0] for v in quartic_real_roots(np.array(row)))
     assert roots[:2].tolist() == [-1.0, 1.0]
     assert mults.tolist() == [2, 2, 0, 0] and degree == 4 and not certified
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seeds_on_one_root_leave_the_row_uncertified():
+    # 4.7e-9 relative off the cubic surface h2 = 2 (h3 l1 + h1 l2) / (l1 + l2),
+    # three of Ferrari's seeds polish onto t = 0.5852228617459859 while the
+    # sure root count reads four, so only the duplicate test refuses the row.
+    # Certified, it would give alpha_sing = 1.0589661852558363, a tripled
+    # angle, in place of 1.0413169576611037.
+    g = SegmentGeometry(0.17489992265343154, 0.5060108543652527,
+                        0.31756687060130334, 0.4603205309405612,
+                        0.380497598526677)
+    row = quartic_coefficients(g.h1, g.h2, g.h3, g.l1, g.l2)
+    assert singularity_module._solve(row.tolist(), 4).count(
+        0.5852228617459859) == 3
+    oracle = np.array(conftest.oracle_real_roots(row))
+    found, _, _, certified = singularity_module._row_roots(row.tolist())
+    roots, _, _, batch_certified = (v[0] for v in quartic_real_roots(row))
+    assert not certified and not batch_certified
+    for mine in (np.array(found), roots[~np.isnan(roots)]):
+        assert len(mine) == len(oracle)
+        assert np.all(np.abs(mine - oracle) <= 1e-13 * (1.0 + np.abs(oracle)))
+    assert singular_angles(g).alpha_sing == 1.0413169576611037
 
 
 def test_certified_roots_match_oracle_across_magnitudes():
@@ -480,14 +508,14 @@ def scaled_rows(dims):
 
 def assert_row_alone(row, roots, mults, degree, certified):
     """``_row_roots`` of the list ``row`` gives its batch row's bits, degree
-    and certificate, and certified roots are floats."""
+    and certificate, and its roots are floats on both routes."""
     found, found_mults, found_degree, found_certified = (
         singularity_module._row_roots(row))
     assert np.array((found + [np.nan] * 4)[:4]).tobytes() == (
         roots.tobytes()), row
     assert (found_mults + [0] * 4)[:4] == mults.tolist(), row
     assert (found_degree, found_certified) == (degree, certified), row
-    assert not found_certified or all(type(t) is float for t in found), row
+    assert all(type(t) is float for t in found), row
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
