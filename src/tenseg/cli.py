@@ -66,9 +66,10 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _quant(value) -> float:
-    """Round a float to the 12 significant digits the outputs carry."""
-    return float(_fmt(value))
+def _quant(value):
+    """A float rounded to the 12 significant digits the outputs carry, and
+    any other value as it is."""
+    return float(_fmt(value)) if isinstance(value, float) else value
 
 
 def _object(value, name: str, fields, required=()) -> dict:
@@ -249,7 +250,8 @@ def _write_table(opts, name: str, columns, rows, head: dict | None = None,
     """Write ``<name>.csv`` or ``<name>.json`` into ``opts.output`` and say so.
 
     ``head`` and ``foot`` entries become top-level JSON fields, or leading
-    ``# key,value`` and trailing ``key,value`` lines in CSV."""
+    ``# key,value`` and trailing ``key,value`` lines in CSV.  Here, and only
+    here, every float is rounded to 12 significant digits."""
     head, foot = head or {}, foot or {}
     if opts.format == "csv":
         lines = [f"# {key},{_render(value)}" for key, value in head.items()]
@@ -259,7 +261,9 @@ def _write_table(opts, name: str, columns, rows, head: dict | None = None,
         text = "\n".join(lines) + "\n"
     else:
         import json
-        document = [dict(zip(columns, row)) for row in rows]
+        head, foot = ({key: _quant(value) for key, value in part.items()}
+                      for part in (head, foot))
+        document = [dict(zip(columns, map(_quant, row))) for row in rows]
         text = json.dumps({**head, "rows": document, **foot}, indent=2) + "\n"
     opts.output.mkdir(parents=True, exist_ok=True)
     path = opts.output / f"{name}.{opts.format}"
@@ -286,9 +290,9 @@ def cmd_pose(config: dict, opts) -> int:
     for alpha in _required(config, "alphas"):
         state = SegmentState(alpha)
         pose = segment_points(g, state)
-        row = [_quant(_angle_out(state.alpha, opts.degrees))]
+        row = [_angle_out(state.alpha, opts.degrees)]
         for _, point in pose.points():
-            row += [_quant(point[0]), _quant(point[1])]
+            row += point.tolist()
         if stack_lam is not None:
             try:
                 stack = tapered_stack(g, stack_lam, (state, state, state))
@@ -296,8 +300,8 @@ def cmd_pose(config: dict, opts) -> int:
                 raise ConfigError("stack.lambda", f"a scaled level of the "
                                   f"stack is degenerate: {exc}") from exc
             for frame in stack_forward(stack):
-                row += [_quant(frame.origin[0]), _quant(frame.origin[1]),
-                        _quant(_angle_out(frame.theta, opts.degrees))]
+                row += [*frame.origin.tolist(),
+                        _angle_out(frame.theta, opts.degrees)]
         rows.append(row)
     _write_table(opts, "pose", columns, rows)
     return 0
@@ -310,8 +314,8 @@ def cmd_ik(config: dict, opts) -> int:
     for alpha in _required(config, "alphas"):
         state = SegmentState(alpha)
         rho1, rho2 = cable_lengths(g, state.alpha)
-        rows.append([_quant(_angle_out(state.alpha, opts.degrees)),
-                     _quant(float(rho1)), _quant(float(rho2))])
+        rows.append([_angle_out(state.alpha, opts.degrees), float(rho1),
+                     float(rho2)])
     _write_table(opts, "ik", ["alpha", "rho1", "rho2"], rows)
     return 0
 
@@ -327,13 +331,12 @@ def cmd_singularities(config: dict, opts) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = abs(float(singularity_condition(
                     g, alpha if loop == 1 else -alpha)))
-            rows.append([loop, _quant(_angle_out(alpha, opts.degrees)),
-                         _quant(residual)])
+            rows.append([loop, _angle_out(alpha, opts.degrees), residual])
     alpha_sing = found.alpha_sing
     print("alpha_sing = NONE" if alpha_sing is None
           else f"alpha_sing = {_fmt(alpha_sing)} rad")
     footer_value = (None if alpha_sing is None
-                    else _quant(_angle_out(alpha_sing, opts.degrees)))
+                    else _angle_out(alpha_sing, opts.degrees))
     _write_table(opts, "singularities", ["loop", "angle", "residual"], rows,
                  foot={"alpha_sing": footer_value})
     return 0
@@ -363,14 +366,13 @@ def cmd_energy_profile(config: dict, opts) -> int:
     verdict = classify_home_stability(g, springs)
 
     head = {"class": verdict.stability.value,
-            "energy_at_zero": _quant(float(energy(g, springs, 0.0))),
+            "energy_at_zero": float(energy(g, springs, 0.0)),
             "energy_at_sing": None, "total_energy": None}
     if alpha_sing is not None:
-        head["energy_at_sing"] = _quant(float(energy(g, springs, alpha_sing)))
-        head["total_energy"] = _quant(total_energy(g, springs,
-                                                   alpha_sing=alpha_sing))
-    rows = [[_quant(_angle_out(float(a), opts.degrees)), _quant(float(e))]
-            for a, e in zip(profile.alphas, profile.energies)]
+        head["energy_at_sing"] = float(energy(g, springs, alpha_sing))
+        head["total_energy"] = total_energy(g, springs, alpha_sing=alpha_sing)
+    rows = [[_angle_out(a, opts.degrees), e] for a, e in
+            zip(profile.alphas.tolist(), profile.energies.tolist())]
     print(f"class = {verdict.stability.value}")
     _write_table(opts, "energy_profile", ["alpha", "energy"], rows, head=head)
     return 0
@@ -384,19 +386,17 @@ def cmd_optimize(config: dict, opts) -> int:
     best_rows = []
     for record in report.best:
         h1, h2, h3, l1, lam = record.x
-        values = (lam, h1, h2, h3, l1, record.l2,
-                  _angle_out(record.alpha_sing, opts.degrees),
-                  record.energy_at_zero, record.energy_at_sing,
-                  record.total_energy)
-        best_rows.append([_quant(v) for v in values] + [record.stability.value])
+        best_rows.append([lam, h1, h2, h3, l1, record.l2,
+                          _angle_out(record.alpha_sing, opts.degrees),
+                          record.energy_at_zero, record.energy_at_sing,
+                          record.total_energy, record.stability.value])
     _write_table(opts, "best", ["lambda", "h1", "h2", "h3", "l1", "l2",
                                 "alpha_sing", "energy_at_zero", "energy_at_sing",
                                 "total_energy", "stability"], best_rows)
     _write_table(opts, "lambda_curve", ["lambda", "l1", "l2"],
-                 [[_quant(lam), _quant(l1), _quant(l2)]
-                  for lam, l1, l2 in report.lambda_curve])
+                 report.lambda_curve)
     _write_table(opts, "energy_curve", ["lambda", "total_energy"],
-                 [[_quant(lam), _quant(et)] for lam, et in report.energy_curve])
+                 report.energy_curve)
     print(f"max alpha_sing = {_fmt(report.max_alpha_sing)} rad")
     return 0
 

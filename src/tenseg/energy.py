@@ -119,11 +119,14 @@ def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
     return 0.5 * (k1 * np.square(rho1 - l0) + k2 * np.square(rho2 - l0))
 
 
+def _one_row(g: SegmentGeometry, springs: SpringParams) -> tuple:
+    """``(h1, h2, h3, l1, l2, l0)`` of one design, as floats."""
+    return (*map(float, g._values()), rest_length(g, springs.rest_fraction))
+
+
 def energy(g: SegmentGeometry, springs: SpringParams, alpha):
     """Elastic energy at ``alpha`` (scalar or ndarray)."""
-    return _energy_raw(g.h1, g.h2, g.h3, g.l1, g.l2,
-                       rest_length(g, springs.rest_fraction), springs.k1,
-                       springs.k2, alpha)
+    return _energy_raw(*_one_row(g, springs), springs.k1, springs.k2, alpha)
 
 
 def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
@@ -276,7 +279,7 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     x = l1 - l2
     y = h1 + h2 + h3
     u = h2 + 2.0 * h3
-    rho = _float(np.hypot(x, y))  # one row: on floats from here
+    rho = _float(_home_length(h1, h2, h3, l1, l2))  # one row: floats from here
     slope = -(x * u + 2.0 * l2 * y) / rho
     bend = u * u + 4.0 * l2 * l2 + 4.0 * l2 * x - y * (h2 + 4.0 * h3)
     curvature = (k1 + k2) * (slope * slope
@@ -287,11 +290,6 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     # Indices into _STABILITY_CODES: 0 above the band, 1 below it, else 2.
     codes = 2 - 2 * (curvature > tau) - (curvature < -tau)
     return e0, curvature, codes, tau
-
-
-def _one_row(g: SegmentGeometry, springs: SpringParams) -> tuple:
-    """``(h1, h2, h3, l1, l2, l0)`` of one design, as floats."""
-    return (*map(float, g._values()), rest_length(g, springs.rest_fraction))
 
 
 def total_energy(g: SegmentGeometry, springs: SpringParams,

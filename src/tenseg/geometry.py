@@ -142,10 +142,7 @@ class SegmentPose(_Record):
 
     def points(self):
         """The points as an ordered (name, vector) sequence."""
-        return (
-            ("a1", self.a1), ("a2", self.a2), ("b0", self.b0),
-            ("c0", self.c0), ("d0", self.d0), ("d1", self.d1), ("d2", self.d2),
-        )
+        return tuple(zip(self._fields, self._values()))
 
 
 class Frame2D(_Record):

@@ -16,12 +16,12 @@ root on ``(n,)`` arrays), with the same bits for a row in both; flat designs
 (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  The kernel starts from
 the closed-form roots (Ferrari's resolvent cubic, or Cardano for a cubic; cf.
 Flocke, ACM TOMS 41, 2015), polishes each real one alone by two Newton
-steps and keeps those whose last step, on a finite non-zero slope, was at
-most 1e-10 relative.  It then counts each row's distinct real roots from the
-invariants ``I``, ``J``, ``P`` and ``D`` (Rees, Amer. Math. Monthly 29, 1922),
-each with a rounding bound.  A row is certified when the invariants clear
-their bounds, the count equals the number of kept roots and no two kept roots
-lie within 1e-6 relative.
+steps and keeps those whose last step, on a finite non-zero slope and to a
+finite ``t``, was at most 1e-10 relative.  It then counts each row's
+distinct real roots from the invariants ``I``, ``J``, ``P`` and ``D`` (Rees,
+Amer. Math. Monthly 29, 1922), each with a rounding bound.  A row is
+certified when the invariants clear their bounds, the count equals the
+number of kept roots and no two kept roots lie within two such steps.
 Other rows (a double or triple root, or a discriminant at the rounding level)
 are solved one by one from the signs of ``q`` at its critical points, which
 split the line into pieces where ``q`` is monotone: a certain sign change
@@ -55,10 +55,9 @@ _REALISH_REL = 1e-6
 # Largest last Newton step, relative to 1 + |t|, of a kept root; without it
 # test_certified_roots_match_oracle_across_magnitudes fails.
 _STEP_REL = 1e-10
-# Kept roots closer than this (relative) leave the row uncertified, which
-# test_seeds_on_one_root_leave_the_row_uncertified needs; the width is not
-# witnessed (at 0, none of 680,000 seeded rows changed).
-_SEPARATION_REL = 1e-6
+# Two kept roots, each within its last Newton step of a root, that lie within
+# two steps may be one: test_seeds_on_one_root_leave_the_row_uncertified.
+_SEPARATION_REL = 2.0 * _STEP_REL
 # Rounding bound of an invariant, relative to the sum of its terms' sizes:
 # each takes at most a dozen roundings, so this is over 20 times generous.
 _INVARIANT_REL = 4e-14
@@ -240,12 +239,10 @@ def _solve(sub, degree: int) -> list:
                 value = value * t + c
             step = value / _where(slope == 0.0, np.inf, slope)
             t = t - step
-        value = lead * t + first
-        for c in rest:
-            value = value * t + c
-        # A zero or infinite slope makes the step 0 or NaN: it proves nothing.
+        # The step proves nothing on a zero or infinite slope (it is 0 or NaN)
+        # or to t = +-inf (test_solve_keeps_no_infinite_root).
         size = abs(slope)
-        ok = ((abs(value) < np.inf) & (0.0 < size) & (size < np.inf)
+        ok = ((abs(t) < np.inf) & (0.0 < size) & (size < np.inf)
               & (abs(step) <= _STEP_REL * (1.0 + abs(t))))
         kept.append(_where(ok, t, np.nan))
     return kept

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from tenseg import (SegmentGeometry, SegmentState, SpringParams,
                     cable_lengths, energy, segment_points, singular_angles,
                     stack_forward, tapered_stack, total_energy)
-from tenseg.cli import main
+from tenseg.cli import _write_table, main
 from tenseg.singularity import SingularitySet
 
 from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, condition_bound,
@@ -450,6 +452,25 @@ def test_twelve_significant_digits(tmp_path):
     text = (tmp_path / "singularities.csv").read_text()
     assert "0.785398163397" in text
     assert "0.7853981633974" not in text
+
+
+def test_write_table_rounds_raw_cells_alike_in_both_formats(tmp_path):
+    # The commands hand the writer raw cells; it alone rounds each float,
+    # numpy's too, to 12 significant digits and passes the rest as they are.
+    columns = ["a", "b", "c", "d", "e"]
+    row = [0.1 + 0.2, np.float64(1) / 3, None, 1, "Stable"]
+    for fmt in ("csv", "json"):
+        _write_table(SimpleNamespace(format=fmt, output=tmp_path), "table",
+                     columns, [row], head={"scale": 2.0 / 3},
+                     foot={"alpha_sing": None})
+    assert (tmp_path / "table.csv").read_text().splitlines() == [
+        "# scale,0.666666666667", "a,b,c,d,e",
+        "0.3,0.333333333333,NONE,1,Stable", "alpha_sing,NONE"]
+    document = json.loads((tmp_path / "table.json").read_text())
+    assert document == {"scale": 0.666666666667, "rows": [dict(zip(
+        columns, [0.3, 0.333333333333, None, 1, "Stable"]))],
+        "alpha_sing": None}
+    assert type(document["rows"][0]["d"]) is int
 
 
 # ---------------------------------------------------------------------------

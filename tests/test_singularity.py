@@ -447,6 +447,25 @@ def test_seeds_on_a_zero_slope_are_not_kept():
     assert mults.tolist() == [2, 2, 0, 0] and degree == 4 and not certified
 
 
+def test_solve_keeps_no_infinite_root():
+    # About 1.5e-8 (t^4 - 1), with middle coefficients near 1e-92 and
+    # 1e-251: two of Ferrari's seeds step to t = -inf on a finite non-zero
+    # slope, and the step test passes them.  Kept, they would certify the
+    # batch row with the roots [-inf, -inf] in place of +-1.
+    row = [-1.477027751875454e-08, 8.550382755157132e-92,
+           1.2675729233362628e-251, -8.550382755157132e-92,
+           1.477027751875454e-08]
+    assert not any(abs(t) == math.inf for t in singularity_module._solve(
+        row, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept = singularity_module._solve(np.array(row)[:, None], 4)
+    assert not np.isinf(kept).any()
+    found, _, _, certified = singularity_module._row_roots(row)
+    roots, _, _, batch_certified = (v[0] for v in quartic_real_roots(row))
+    assert not certified and not batch_certified
+    assert found == [-1.0, 1.0] and roots[:2].tolist() == [-1.0, 1.0]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_seeds_on_one_root_leave_the_row_uncertified():
     # 4.7e-9 relative off the cubic surface h2 = 2 (h3 l1 + h1 l2) / (l1 + l2),
