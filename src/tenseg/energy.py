@@ -13,7 +13,8 @@ configuration is a stable equilibrium when ``E`` has a strict local minimum at
 which has a closed form in the dimensions.  The total energy ``E_t``
 integrates ``E`` over the usable range between the nearest singularities
 ``(-alpha_sing, alpha_sing)`` with a fixed Gauss-Legendre rule and serves as
-an overall stiffness score of a design.
+an overall stiffness score of a design.  Each node of the rule forms cable 1
+alone: ``rho2`` there is ``rho1`` at the mirrored node, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .geometry import (SegmentGeometry, _cable_lengths_raw, _home_length,
-                       _Record)
+                       _plate, _Record)
 from .singularity import _float, singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
@@ -223,22 +224,30 @@ def _sine_rule(half_u, half_w) -> tuple[np.ndarray, np.ndarray]:
 _RULE_NODES, _RULE_WEIGHTS = _sine_rule(_GL_U, _GL_W)
 
 
+def _mirrored_energy(h1, h2, h3, l1, l2, l0, k1, k2, angles):
+    d0x, d0y, plate_x, plate_y = _plate(h1, h2, h3, l2, angles)
+    sq = np.square(np.hypot(d0x - plate_x + l1, d0y - plate_y) - l0)
+    return 0.5 * (k1 * sq + k2 * sq[..., ::-1])
+
+
 def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
     """``E_t`` per row over ``[-alpha_sing, alpha_sing]``, of arrays or floats.
 
     Every row of a call shares the one range ``alpha_sing``, a float, so the
     node angles are formed once per call and scale each row's sum alike.
-    Rows are reduced one by one, not by a matrix product, so a row's value
-    does not depend on the other rows of the call or on the blocking."""
+    They mirror, and at ``-a`` sin and each sum in cable 1's first coordinate
+    flip sign exactly, so each node forms cable 1 alone and ``rho2`` is its
+    reverse, bit for bit.  Rows are reduced one by one, not by a matrix
+    product, so a row's value does not depend on the other rows or blocks."""
     angles = alpha_sing * _RULE_NODES
     if np.ndim(h1) == 0:  # one row of floats: one sum, and no block
-        values = _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, angles)
+        values = _mirrored_energy(h1, h2, h3, l1, l2, l0, k1, k2, angles)
         return alpha_sing * (values * _RULE_WEIGHTS).sum()
     columns = [np.asarray(v)[:, None] for v in (h1, h2, h3, l1, l2, l0)]
     total = np.empty(len(columns[0]))
     for start in range(0, len(total), _GL_BLOCK):
-        values = _energy_raw(*(c[start:start + _GL_BLOCK] for c in columns),
-                             k1, k2, angles)
+        values = _mirrored_energy(
+            *(c[start:start + _GL_BLOCK] for c in columns), k1, k2, angles)
         total[start:start + _GL_BLOCK] = (
             alpha_sing * (values * _RULE_WEIGHTS).sum(axis=1))
     return total

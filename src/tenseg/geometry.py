@@ -187,20 +187,21 @@ def validate_geometry(g: SegmentGeometry) -> SegmentGeometry:
     return g
 
 
-def _cable_lengths_raw(h1, h2, h3, l1, l2, alpha):
-    """Cable lengths from raw dimensions via the point construction.
-
-    All arguments broadcast, so this serves both the scalar public API and the
-    batched design sweeps (dimension arrays against angle arrays).
-    """
+def _plate(h1, h2, h3, l2, alpha):
+    """``d0`` and the plate offset ``l2 (cos 2a, sin 2a)``, each formed once;
+    all arguments broadcast (dimension arrays against angle arrays)."""
     two_a = 2.0 * np.asarray(alpha)
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     sin_2a, cos_2a = np.sin(two_a), np.cos(two_a)
-    d0x = -h2 * sin_a - h3 * sin_2a
-    d0y = h1 + h2 * cos_a + h3 * cos_2a
-    rho1 = np.hypot(d0x - l2 * cos_2a + l1, d0y - l2 * sin_2a)
-    rho2 = np.hypot(d0x + l2 * cos_2a - l1, d0y + l2 * sin_2a)
-    return rho1, rho2
+    return (-h2 * sin_a - h3 * sin_2a, h1 + h2 * cos_a + h3 * cos_2a,
+            l2 * cos_2a, l2 * sin_2a)
+
+
+def _cable_lengths_raw(h1, h2, h3, l1, l2, alpha):
+    """Cable lengths from raw dimensions via the point construction."""
+    d0x, d0y, plate_x, plate_y = _plate(h1, h2, h3, l2, alpha)
+    return (np.hypot(d0x - plate_x + l1, d0y - plate_y),
+            np.hypot(d0x + plate_x - l1, d0y + plate_y))
 
 
 def _home_length(h1, h2, h3, l1, l2):
@@ -240,7 +241,7 @@ def cable_lengths(g: SegmentGeometry, alpha):
     ``rho1 = ||a1 - d1||`` and ``rho2 = ||a2 - d2||``, computed from the point
     construction.  ``alpha`` may be a ``SegmentState``, a scalar, or an
     ndarray; the mirror symmetry of the trapezoid gives
-    ``rho2(alpha) = rho1(-alpha)`` identically.
+    ``rho2(alpha) = rho1(-alpha)`` bit for bit.
     """
     if isinstance(alpha, SegmentState):
         alpha = alpha.alpha

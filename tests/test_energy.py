@@ -413,7 +413,8 @@ def test_total_energy_one_row_equals_the_batched_kernel():
         assert [v.hex() for v in batched.tolist()] == [v.hex() for v in alone]
 
 
-@pytest.mark.parametrize("a", [0.1, 1.0, math.pi / 2, 1.2693])
+@pytest.mark.parametrize("a", [0.0, 1e-300, 0.1, 1.0, math.pi / 2, 1.2693,
+                               math.pi])
 def test_shared_range_kernel_equals_the_per_row_range_oracle(a):
     # Random designs with unequal springs, against the kernel that took one
     # range per row (conftest.per_row_energy_integral).
@@ -422,6 +423,27 @@ def test_shared_range_kernel_equals_the_per_row_range_oracle(a):
     _, _, rows = random_energy_rows(211, 1000)
     expected = per_row_energy_integral(*rows, 2.0, 0.5, np.full(1000, a))
     assert np.array_equal(_energy_integral(*rows, 2.0, 0.5, a), expected)
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-300, 1.0, math.pi / 2, math.pi])
+@given(exponents=st.lists(st.floats(-4.0, 2.0), min_size=5, max_size=5),
+       face=st.sampled_from(["free", "h1", "h3", "both"]))
+@settings(max_examples=100, deadline=None)
+def test_rho2_is_rho1_reversed_on_the_rule_nodes(a, exponents, face):
+    # The kernel forms cable 1 alone and takes rho2 as rho1 at the mirrored
+    # node.  That keeps every bit only while the nodes mirror exactly and
+    # numpy's sin is odd to the last bit; this names the cause if either fails.
+    from tenseg.energy import _RULE_NODES
+    from tenseg.geometry import _cable_lengths_raw
+
+    assert np.array_equal(_RULE_NODES, -_RULE_NODES[::-1])
+    dims = [10.0 ** e for e in exponents]
+    if face in ("h1", "both"):
+        dims[0] = 0.0
+    if face in ("h3", "both"):
+        dims[2] = 0.0
+    rho1, rho2 = _cable_lengths_raw(*dims, a * _RULE_NODES)
+    assert rho2.tobytes() == rho1[::-1].tobytes()
 
 
 def test_rho1_square_integral_matches_mpmath():

@@ -170,14 +170,20 @@ def test_cable_lengths_match_expanded_squares():
 
 
 def test_cable_length_mirror_symmetry():
+    # Bit for bit, for a scalar and an array angle: at -alpha sin and each
+    # sum in a cable's first coordinate change sign exactly.
     rng = np.random.default_rng(17)
     for _ in range(100):
         g = random_geometry(rng)
         alpha = random_angle(rng)
         rho1_pos, rho2_pos = cable_lengths(g, alpha)
         rho1_neg, rho2_neg = cable_lengths(g, -alpha)
-        assert rho1_pos == pytest.approx(rho2_neg, rel=1e-12)
-        assert rho2_pos == pytest.approx(rho1_neg, rel=1e-12)
+        assert rho1_pos == rho2_neg and rho2_pos == rho1_neg
+        alphas = rng.uniform(-math.pi, math.pi, 64)
+        rho1_pos, rho2_pos = cable_lengths(g, alphas)
+        rho1_neg, rho2_neg = cable_lengths(g, -alphas)
+        assert np.array_equal(rho1_pos, rho2_neg)
+        assert np.array_equal(rho2_pos, rho1_neg)
 
 
 def test_cable_lengths_vectorized_matches_scalar():
@@ -212,8 +218,7 @@ def test_home_length_is_the_cable_length_at_home(h1, h2, h3, l1, lam, ends,
 def test_mirror_symmetry_is_exact_for_unit_geometry(alpha):
     rho1, rho2 = cable_lengths(UNIT, alpha)
     rho1m, rho2m = cable_lengths(UNIT, -alpha)
-    assert rho1 == pytest.approx(rho2m, rel=1e-13)
-    assert rho2 == pytest.approx(rho1m, rel=1e-13)
+    assert rho1 == rho2m and rho2 == rho1m
 
 
 # ---------------------------------------------------------------------------
