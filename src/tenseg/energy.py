@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 import numpy as np
 
 from .geometry import (SegmentGeometry, _cable_lengths_raw, _home_length,
                        _plate, _Record)
-from .singularity import _float, singular_angles
+from .singularity import _float, _where, singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
 _GL_BLOCK = 128
@@ -136,7 +137,9 @@ def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
 
     Without an explicit ``alpha_range`` the profile covers the usable range
     ``[-alpha_sing, alpha_sing]`` between the nearest singularities; raises
-    :class:`NoSingularity` if the design has none to bound it.
+    :class:`NoSingularity` if the design has none to bound it.  The angles
+    are numpy's ``linspace``: ``lo + k step``, ``step = (hi - lo) / (n - 1)``
+    (``lo + k / (n - 1) (hi - lo)`` if ``step`` is 0), and ``hi`` last.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -149,7 +152,9 @@ def energy_profile(g: SegmentGeometry, springs: SpringParams, n: int = 101,
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"empty or unbounded angle range ({lo!r}, {hi!r})")
-    alphas = np.linspace(lo, hi, n)
+    k, step = np.arange(operator.index(n)), (hi - lo) / (n - 1)
+    alphas = lo + (k * step if step else k / (n - 1) * (hi - lo))
+    alphas[-1] = hi
     return EnergyProfile(alphas=alphas, energies=energy(g, springs, alphas),
                          alpha_range=(lo, hi))
 
@@ -240,9 +245,9 @@ def _energy_integral(h1, h2, h3, l1, l2, l0, k1, k2, alpha_sing) -> np.ndarray:
     reverse, bit for bit.  Rows are reduced one by one, not by a matrix
     product, so a row's value does not depend on the other rows or blocks."""
     angles = alpha_sing * _RULE_NODES
-    if np.ndim(h1) == 0:  # one row of floats: one sum, and no block
+    if not isinstance(h1, np.ndarray):  # one row of floats: one sum, no block
         values = _mirrored_energy(h1, h2, h3, l1, l2, l0, k1, k2, angles)
-        return alpha_sing * (values * _RULE_WEIGHTS).sum()
+        return alpha_sing * np.add.reduce(values * _RULE_WEIGHTS)
     columns = [np.asarray(v)[:, None] for v in (h1, h2, h3, l1, l2, l0)]
     total = np.empty(len(columns[0]))
     for start in range(0, len(total), _GL_BLOCK):
@@ -295,7 +300,7 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
                              + (1.0 - l0 / rho) * (bend - slope * slope))
     stretch = rho - l0
     e0 = 0.5 * (k1 * (stretch * stretch) + k2 * (stretch * stretch))
-    tau = _TAU_REL * _float(np.maximum(1.0, e0))
+    tau = _TAU_REL * _where(e0 <= 1.0, 1.0, e0)  # np.maximum(1.0, e0)'s bits
     # Indices into _STABILITY_CODES: 0 above the band, 1 below it, else 2.
     codes = 2 - 2 * (curvature > tau) - (curvature < -tau)
     return e0, curvature, codes, tau

@@ -279,19 +279,11 @@ def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:
     """
     if not (math.isfinite(lam) and 0.0 < lam <= 1.0):
         raise InvalidRatio(f"taper ratio must lie in (0, 1], got {lam!r}")
-    states = tuple(
-        st if isinstance(st, SegmentState) else SegmentState(st) for st in states
-    )
-    segments = tuple(
-        SegmentGeometry(
-            h1=base.h1 * lam**i,
-            h2=base.h2 * lam**i,
-            h3=base.h3 * lam**i,
-            l1=base.l1 * lam**i,
-            l2=base.l2 * lam**i,
-        )
-        for i in range(3)
-    )
+    states = tuple(st if isinstance(st, SegmentState) else SegmentState(st)
+                   for st in states)
+    h1, h2, h3, l1, l2 = base._values()
+    segments = tuple([SegmentGeometry(h1 * s, h2 * s, h3 * s, l1 * s, l2 * s)
+                      for s in [lam**i for i in range(3)]])
     return StackConfig(segments=segments, states=states)
 
 

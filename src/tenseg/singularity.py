@@ -104,15 +104,19 @@ def _float(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
-    """Ascending coefficients of ``q``, shape ``(5,)`` or ``(n, 5)``, from
-    :func:`tenseg.geometry._condition_terms` of float or array dimensions.
+def _quartic_row(h1, h2, h3, l1, l2) -> list:
+    """Ascending coefficients of ``q``, a list of five floats or ``(n,)``
+    arrays, from :func:`tenseg.geometry._condition_terms` of the dimensions.
     The leading one, ``C - B``, is 0 where it is rounding alone: then the
     condition at ``pi`` is within ``8 eps (|A| + |B| + |C| + |D|)``."""
     a, b, c, d = _condition_terms(h1, h2, h3, l1, l2)
     lead = _where(abs(c - b) <= _ROUNDING_REL * (abs(b) + abs(c)), 0.0, c - b)
-    return np.array([b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d,
-                     lead]).T
+    return [b + c, 2.0 * a + 4.0 * d, -6.0 * c, 2.0 * a - 4.0 * d, lead]
+
+
+def quartic_coefficients(h1, h2, h3, l1, l2) -> np.ndarray:
+    """:func:`_quartic_row` as an array, shape ``(5,)`` or ``(n, 5)``."""
+    return np.array(_quartic_row(h1, h2, h3, l1, l2)).T
 
 
 def _flat_angle(h2, l1, l2):
@@ -220,8 +224,8 @@ def _solve(sub, degree: int) -> list:
         pp = p * p
         w = _largest_cubic_root(pp + 12.0 * r,
                                 p * (pp - 36.0 * r) + 13.5 * q * q)
-        # np.maximum, not max: it takes -0.0 to +0.0.
-        z = _float(np.maximum((w - 2.0 * p) / 3.0, 0.0))
+        z = (w - 2.0 * p) / 3.0
+        z = _where(z <= 0.0, 0.0, z)  # np.maximum(z, 0.0)'s bits, +0.0 at -0.0
         s = _sqrt(z)
         # s >= 0, so s + (s == 0) is s with 0 replaced by 1.
         half_pz, half_qs = 0.5 * (p + z), 0.5 * (q / (s + (s == 0.0)))
@@ -410,8 +414,7 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
         if inner < half:  # neither NaN nor the triple root
             loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4
     else:
-        roots, mults, degree, _ = _row_roots(
-            quartic_coefficients(*dims).tolist())
+        roots, mults, degree, _ = _row_roots(_quartic_row(*dims))
         # The sweep takes the same arctangent, so both agree to the last bit.
         loop1 = (2.0 * np.arctan(roots)).tolist()
         # t = tan(alpha/2) cannot reach alpha = pi, where the condition

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -256,6 +257,11 @@ def test_profile_requires_singularity_or_range(monkeypatch):
 def test_profile_rejects_bad_inputs():
     with pytest.raises(ValueError):
         energy_profile(UNIT, unit_springs(), n=1)
+    # n < 2 first, then a count that is not an integer, as np.linspace.
+    with pytest.raises(ValueError):
+        energy_profile(UNIT, unit_springs(), n=1.5)
+    with pytest.raises(TypeError):
+        energy_profile(UNIT, unit_springs(), n=2.5)
     with pytest.raises(ValueError):
         energy_profile(UNIT, unit_springs(), alpha_range=(1.0, 1.0))
 
@@ -270,6 +276,51 @@ def test_profile_rejects_an_empty_or_unbounded_range(alpha_range):
         energy_profile(UNIT, unit_springs(), alpha_range=alpha_range)
     assert str(raised.value) == (
         f"empty or unbounded angle range ({lo!r}, {hi!r})")
+
+
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3),
+       n=st.integers(2, 1000))
+@example(lo=0.0, width=5e-324, n=1000)  # the step underflows to 0
+@example(lo=-1e-310, width=3e-310, n=7)  # a subnormal width
+@example(lo=1.0, width=0.0, n=1000)  # one ulp
+@settings(max_examples=300, deadline=None)
+def test_profile_samples_are_numpys_linspace(lo, width, n):
+    # energy_profile writes numpy's sample rule out, bit for bit.  A width
+    # that rounds away gives the one-ulp range above lo.
+    hi = lo + width if lo + width > lo else math.nextafter(lo, math.inf)
+    alphas = energy_profile(UNIT, unit_springs(), n, (lo, hi)).alphas
+    assert alphas.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+def test_one_row_calls_enter_no_python_function_of_numpy():
+    # One design runs on floats and numpy's compiled functions.  A numpy
+    # helper written in Python (linspace, ndim, ndarray.sum) costs more in
+    # the designs loop than it does timed alone.
+    g = SegmentGeometry(h1=0.5, h2=1.2, h3=0.5, l1=1.0, l2=0.7)
+    springs = SpringParams()
+    alphas = np.linspace(-1.0, 1.0, 101)
+
+    def run():
+        singular_angles(g)
+        classify_home_stability(g, springs)
+        total_energy(g, springs)
+        energy_profile(g, springs)
+        energy_profile(g, springs, 101, (-1.0, 1.0))
+        cable_lengths(g, alphas)
+
+    def profile(frame, event, _):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.split(".")[0] == "numpy":
+            entered.add(f"{module}.{frame.f_code.co_name}")
+
+    run()  # lazy set-up, if any, happens here
+    entered, previous = set(), sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    assert not entered
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,25 @@ def test_cable_lengths_accepts_state():
     assert cable_lengths(UNIT, SegmentState(0.3)) == cable_lengths(UNIT, 0.3)
 
 
-def test_cable_lengths_match_point_distances():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        g = random_geometry(rng)
-        alpha = random_angle(rng)
-        pose = segment_points(g, SegmentState(alpha))
-        rho1, rho2 = cable_lengths(g, alpha)
-        assert rho1 == pytest.approx(np.hypot(*(pose.a1 - pose.d1)), rel=1e-12)
-        assert rho2 == pytest.approx(np.hypot(*(pose.a2 - pose.d2)), rel=1e-12)
+@given(h1=st.floats(0.0, 1.0), h2=st.floats(1e-3, 2.0), h3=st.floats(0.0, 1.0),
+       l1=st.floats(1e-3, 4.5), l2=st.floats(1e-3, 4.5),
+       ends=st.sampled_from(["flat", "equal", "free"]),
+       alpha=st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+                       st.floats(-math.pi, math.pi)))
+@settings(max_examples=1000, deadline=None)
+def test_cable_lengths_match_point_distances(h1, h2, h3, l1, l2, ends, alpha):
+    # The pose sums the spine on math's sin and cos (geometry._spine), the
+    # cables on numpy's (geometry._plate), and d0x starts from 0.0 - h2 sin a
+    # in one and -h2 sin a in the other: they differ only in the sign of a
+    # zero d0x, which + l1 removes.  Folding one into the other keeps every
+    # bit only while this holds.
+    h1, h3 = {"flat": (0.0, 0.0), "equal": (h1, h1), "free": (h1, h3)}[ends]
+    g = SegmentGeometry(h1, h2, h3, l1, l2)
+    state = SegmentState(alpha)
+    pose = segment_points(g, state)
+    rho1, rho2 = cable_lengths(g, state)
+    assert np.hypot(*(pose.d1 - pose.a1)).hex() == float(rho1).hex()
+    assert np.hypot(*(pose.d2 - pose.a2)).hex() == float(rho2).hex()
 
 
 def test_cable_lengths_match_expanded_squares():

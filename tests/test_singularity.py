@@ -466,6 +466,26 @@ def test_solve_keeps_no_infinite_root():
     assert found == [-1.0, 1.0] and roots[:2].tolist() == [-1.0, 1.0]
 
 
+@pytest.mark.parametrize("floor, reference", [
+    (0.0, lambda x: np.maximum(x, 0.0)),  # _solve's resolvent root z
+    (1.0, lambda x: np.maximum(1.0, x)),  # _home_stability's max(1, E(0))
+], ids=["zero", "one"])
+def test_where_clips_are_numpys_maximum(floor, reference):
+    # A one-row clip picks with _where, on floats, where it took
+    # np.maximum: -0.0 goes to +0.0, NaN stays, and an array gets the same
+    # bits as from np.maximum.
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+              -5e-324, 2.2250738585072014e-308, -1e-310, 0.5, 1.0, -1.0,
+              math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e300]
+    for v in values:
+        clipped = singularity_module._where(v <= floor, floor, v)
+        assert type(clipped) is float
+        assert np.float64(clipped).tobytes() == reference(v).tobytes()
+    x = np.array(values)
+    assert (singularity_module._where(x <= floor, floor, x).tobytes()
+            == reference(x).tobytes())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_seeds_on_one_root_leave_the_row_uncertified():
     # 4.7e-9 relative off the cubic surface h2 = 2 (h3 l1 + h1 l2) / (l1 + l2),
