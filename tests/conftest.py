@@ -124,6 +124,17 @@ def oracle_real_roots(coeffs) -> list[float]:
             if abs(mpmath.im(z)) <= 1e-20 * (1 + abs(z)))
 
 
+def spine(g: SegmentGeometry, alpha: float):
+    """``c0``, ``d0`` and the plate direction ``(cos 2a, sin 2a)`` at one
+    float ``alpha``, each a pair of floats summed on ``math`` from ``b0 = (0,
+    h1)`` up, ``c0`` from ``0.0 - h2 sin a``: the bits of the pose's points
+    and of the stack's frames, kept as their oracle."""
+    cos_2a, sin_2a = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
+    c0 = (0.0 - g.h2 * math.sin(alpha), g.h1 + g.h2 * math.cos(alpha))
+    d0 = (c0[0] - g.h3 * sin_2a, c0[1] + g.h3 * cos_2a)
+    return c0, d0, (cos_2a, sin_2a)
+
+
 def cable_lengths_squared(g: SegmentGeometry, alpha):
     """Squared cable lengths from the expanded loop-closure polynomials.
 

@@ -14,7 +14,7 @@ from tenseg import (DesignBounds, DesignRecord, EnergyProfile, Frame2D,
                     InvalidFraction, InvalidGeometry, InvalidRatio,
                     OptimizationReport, SegmentGeometry, SegmentPose,
                     SegmentState, SingularitySet, SpringParams, Stability, StabilityClass, StackConfig, cable_lengths,
-                    normalize_angle, segment_points, singularity_condition,
+                    energy, normalize_angle, segment_points, singularity_condition,
                     stack_forward, tapered_stack, validate_geometry)
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,27 @@ def test_segment_state_normalizes():
     assert SegmentState(0.3).alpha == 0.3
 
 
+# Designs with flat, equal and free end links, and angles with the signed
+# zeros, the quarter turns and the half turns among them.
+DIMENSIONS = dict(h1=st.floats(0.0, 1.0), h2=st.floats(1e-3, 2.0),
+                  h3=st.floats(0.0, 1.0), l1=st.floats(1e-3, 4.5),
+                  l2=st.floats(1e-3, 4.5),
+                  ends=st.sampled_from(["flat", "equal", "free"]))
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2,
+                                    math.pi, -math.pi]),
+                   st.floats(-math.pi, math.pi))
+
+
+def design(h1, h2, h3, l1, l2, ends):
+    h1, h3 = {"flat": (0.0, 0.0), "equal": (h1, h1), "free": (h1, h3)}[ends]
+    return SegmentGeometry(h1, h2, h3, l1, l2)
+
+
+def hexes(values):
+    """Each value's bits, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
 # ---------------------------------------------------------------------------
 # segment points
 
@@ -114,6 +135,20 @@ def test_pose_point_ordering():
     pose = segment_points(UNIT, SegmentState(0.1))
     names = [name for name, _ in pose.points()]
     assert names == ["a1", "a2", "b0", "c0", "d0", "d1", "d2"]
+
+
+@given(**DIMENSIONS, alpha=ANGLES)
+@settings(max_examples=1000, deadline=None)
+def test_segment_points_match_the_spine_oracle(alpha, **dims):
+    g = design(**dims)
+    state = SegmentState(alpha)
+    c0, d0, (cos_2a, sin_2a) = conftest.spine(g, state.alpha)
+    plate = (g.l2 * cos_2a, g.l2 * sin_2a)
+    expected = [(-g.l1, 0.0), (g.l1, 0.0), (0.0, g.h1), c0, d0,
+                (d0[0] - plate[0], d0[1] - plate[1]),
+                (d0[0] + plate[0], d0[1] + plate[1])]
+    points = segment_points(g, state).points()
+    assert [hexes(p) for _, p in points] == [hexes(p) for p in expected]
 
 
 def test_spine_link_distances_random():
@@ -202,6 +237,44 @@ def test_cable_lengths_vectorized_matches_scalar():
     for i, alpha in enumerate(alphas):
         s1, s2 = cable_lengths(UNIT, float(alpha))
         assert rho1[i] == s1 and rho2[i] == s2
+
+
+@given(**DIMENSIONS, alphas=st.lists(ANGLES, min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_one_row_float_calls_match_the_array_call(alphas, **dims):
+    # A float angle takes math's sin and cos, an array numpy's: the ik
+    # table, energy_at_zero and energy_at_sing rest on their agreement.
+    g = design(**dims)
+    springs = SpringParams()
+    array = np.array(alphas)
+    rho1, rho2 = cable_lengths(g, array)
+    condition = singularity_condition(g, array)
+    energies = energy(g, springs, array)
+    for i, alpha in enumerate(alphas):
+        assert hexes(cable_lengths(g, alpha)) == hexes((rho1[i], rho2[i]))
+        assert hexes([singularity_condition(g, alpha)]) == hexes([condition[i]])
+        assert hexes([energy(g, springs, alpha)]) == hexes([energies[i]])
+
+
+@pytest.mark.parametrize("alpha", [
+    [0.3, -1.0, 0.0], [[0.3], [-0.0]], (2.5,), 1, 0, 0.3, -0.0,
+    np.float64(0.3), np.array(0.3), np.array(-2),
+    np.array([0.3, -1.0, math.pi]), np.arange(-3, 3)],
+    ids=["list", "nested-list", "tuple", "int", "int-zero", "float",
+         "float-minus-zero", "float64", "0d-float", "0d-int", "ndarray",
+         "int-ndarray"])
+def test_angle_inputs_of_every_form(alpha):
+    # Each form gives the shape and bits of the same angles as a float array.
+    g = SegmentGeometry(0.5, 1.2, 0.5, 1.0, 0.7)
+    springs = SpringParams()
+    array = np.asarray(alpha, dtype=float)
+    for call in (lambda a: cable_lengths(g, a),
+                 lambda a: singularity_condition(g, a),
+                 lambda a: energy(g, springs, a)):
+        got, want = np.asarray(call(alpha)), np.asarray(call(array))
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(h1=st.floats(0.0, 1.0), h2=st.floats(1e-3, 2.0), h3=st.floats(0.0, 1.0),
@@ -355,6 +428,23 @@ def test_stack_forward_orientation_normalized():
     assert [f.theta for f in frames] == pytest.approx(expected)
     for frame in frames:
         assert -math.pi < frame.theta <= math.pi
+
+
+@given(**DIMENSIONS, lam=st.floats(1e-3, 1.0),
+       alphas=st.tuples(ANGLES, ANGLES, ANGLES))
+@settings(max_examples=500, deadline=None)
+def test_stack_forward_matches_the_spine_oracle(lam, alphas, **dims):
+    config = tapered_stack(design(**dims), lam, alphas)
+    x = y = theta = 0.0
+    expected = []
+    for g, state in zip(config.segments, config.states):
+        _, (dx, dy), _ = conftest.spine(g, state.alpha)
+        c, s = math.cos(theta), math.sin(theta)
+        x, y = x + (c * dx - s * dy), y + (s * dx + c * dy)
+        theta = normalize_angle(theta + 2.0 * state.alpha)
+        expected.append(hexes((x, y, theta)))
+    frames = stack_forward(config)
+    assert [hexes((*f.origin, f.theta)) for f in frames] == expected
 
 
 def test_stack_forward_composes_the_levels_plate_midpoints():
