@@ -187,12 +187,24 @@ def validate_geometry(g: SegmentGeometry) -> SegmentGeometry:
     return g
 
 
+def _trig(alpha):
+    """``(sin a, cos a, sin 2a, cos 2a)``, ``2a`` formed once: ``math``'s on
+    one row's float (``np.float64`` is one), as ``singularity._sqrt`` does,
+    and numpy's through ``np.asarray`` on anything else, in numpy's shapes."""
+    if isinstance(alpha, float):
+        sin, cos = math.sin, math.cos
+    else:
+        sin, cos, alpha = np.sin, np.cos, np.asarray(alpha)
+    two_a = 2.0 * alpha
+    return sin(alpha), cos(alpha), sin(two_a), cos(two_a)
+
+
 def _plate(h1, h2, h3, l2, alpha):
-    """``d0`` and the plate offset ``l2 (cos 2a, sin 2a)``, each formed once;
-    all arguments broadcast (dimension arrays against angle arrays)."""
-    two_a = 2.0 * np.asarray(alpha)
-    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-    sin_2a, cos_2a = np.sin(two_a), np.cos(two_a)
+    """``d0``, summed from ``b0 = (0, h1)`` up (``c0`` where ``h3 = 0``), and
+    the plate offset ``l2 (cos 2a, sin 2a)``, each formed once.  All arguments
+    broadcast; the sin and cos are :func:`_trig`'s, ``math``'s on one float
+    angle and numpy's on any other."""
+    sin_a, cos_a, sin_2a, cos_2a = _trig(alpha)
     return (-h2 * sin_a - h3 * sin_2a, h1 + h2 * cos_a + h3 * cos_2a,
             l2 * cos_2a, l2 * sin_2a)
 
@@ -210,37 +222,24 @@ def _home_length(h1, h2, h3, l1, l2):
     return np.hypot(l1 - l2, h1 + h2 + h3)
 
 
-def _spine(g: SegmentGeometry, alpha: float):
-    """``c0``, ``d0`` and the plate direction ``(cos 2a, sin 2a)`` at
-    ``alpha``, each a pair of floats summed from ``b0 = (0, h1)`` up."""
-    cos_2a, sin_2a = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    c0 = (0.0 - g.h2 * math.sin(alpha), g.h1 + g.h2 * math.cos(alpha))
-    d0 = (c0[0] - g.h3 * sin_2a, c0[1] + g.h3 * cos_2a)
-    return c0, d0, (cos_2a, sin_2a)
-
-
 def segment_points(g: SegmentGeometry, state: SegmentState) -> SegmentPose:
     """Forward kinematics of one segment: all seven points at ``state.alpha``."""
-    c0, d0, plate = _spine(g, state.alpha)
-    d0 = np.array(d0)
-    plate = g.l2 * np.array(plate)
-    return SegmentPose(
-        a1=np.array([-g.l1, 0.0]),
-        a2=np.array([g.l1, 0.0]),
-        b0=np.array([0.0, g.h1]),
-        c0=np.array(c0),
-        d0=d0,
-        d1=d0 - plate,
-        d2=d0 + plate,
-    )
+    c0x, c0y, _, _ = _plate(g.h1, g.h2, 0.0, g.l2, state.alpha)
+    d0x, d0y, *plate = _plate(g.h1, g.h2, g.h3, g.l2, state.alpha)
+    # -h2 sin a is -0.0 at alpha = 0: + 0.0 makes a zero x +0.0, as the pose
+    # tables print it, and leaves every other value as it is.
+    d0, plate = np.array([d0x + 0.0, d0y]), np.array(plate)
+    return SegmentPose(np.array([-g.l1, 0.0]), np.array([g.l1, 0.0]),
+                       np.array([0.0, g.h1]), np.array([c0x + 0.0, c0y]),
+                       d0, d0 - plate, d0 + plate)
 
 
 def cable_lengths(g: SegmentGeometry, alpha):
     """Cable lengths ``(rho1, rho2)`` at angle ``alpha`` (inverse kinematics).
 
     ``rho1 = ||a1 - d1||`` and ``rho2 = ||a2 - d2||``, computed from the point
-    construction.  ``alpha`` may be a ``SegmentState``, a scalar, or an
-    ndarray; the mirror symmetry of the trapezoid gives
+    construction.  ``alpha`` may be a ``SegmentState``, a scalar, a sequence
+    or an ndarray; the mirror symmetry of the trapezoid gives
     ``rho2(alpha) = rho1(-alpha)`` bit for bit.
     """
     if isinstance(alpha, SegmentState):
@@ -262,12 +261,11 @@ def singularity_condition(g: SegmentGeometry, alpha):
     The mechanism is singular where this vanishes: the cable can no longer
     control the joint to first order.  By mirror symmetry the corresponding
     condition for cable 2 is this expression evaluated at ``-alpha``.  Accepts
-    scalar or ndarray ``alpha``.  At an angle ``singular_angles`` returns it
-    is rounding alone, at most ``8 eps (|A| + |B| + |C| + |D|)``."""
+    a scalar, sequence or ndarray ``alpha``.  At an angle ``singular_angles``
+    returns it is rounding alone, at most ``8 eps (|A| + |B| + |C| + |D|)``."""
     a, b, c, d = _condition_terms(g.h1, g.h2, g.h3, g.l1, g.l2)
-    two_a = 2.0 * np.asarray(alpha)
-    return (a * np.sin(alpha) + b * np.cos(alpha) + c * np.cos(two_a)
-            + d * np.sin(two_a))
+    sin_a, cos_a, sin_2a, cos_2a = _trig(alpha)
+    return a * sin_a + b * cos_a + c * cos_2a + d * sin_2a
 
 
 def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:
@@ -297,7 +295,7 @@ def stack_forward(config: StackConfig) -> tuple[Frame2D, Frame2D, Frame2D]:
     x = y = theta = 0.0
     frames = []
     for g, st in zip(config.segments, config.states):
-        _, (dx, dy), _ = _spine(g, st.alpha)
+        dx, dy, _, _ = _plate(g.h1, g.h2, g.h3, g.l2, st.alpha)
         c, s = math.cos(theta), math.sin(theta)
         x, y = x + (c * dx - s * dy), y + (s * dx + c * dy)
         theta = normalize_angle(theta + 2.0 * st.alpha)
