@@ -14,8 +14,8 @@ from .geometry import (Frame2D, InvalidGeometry, InvalidRatio, SegmentGeometry,
                        SegmentPose, SegmentState, StackConfig, cable_lengths,
                        normalize_angle, segment_points, singularity_condition,
                        stack_forward, tapered_stack, validate_geometry)
-from .optimizer import (DesignBounds, DesignRecord, EmptyGrid,
-                        OptimizationReport, optimize)
+from .optimizer import (DesignBounds, DesignRecord, OptimizationReport,
+                        optimize)
 from .singularity import DegenerateInput, SingularitySet, singular_angles
 
 __version__ = "0.1.0"
@@ -28,8 +28,7 @@ __all__ = [
     "SegmentPose", "SegmentState", "StackConfig", "cable_lengths",
     "normalize_angle", "segment_points", "singularity_condition",
     "stack_forward", "tapered_stack", "validate_geometry",
-    "DesignBounds", "DesignRecord", "EmptyGrid", "OptimizationReport",
-    "optimize",
+    "DesignBounds", "DesignRecord", "OptimizationReport", "optimize",
     "DegenerateInput", "SingularitySet", "singular_angles",
     "__version__",
 ]

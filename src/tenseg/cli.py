@@ -18,7 +18,7 @@ in one process.
 
 All numbers are written with 12 significant digits, UTF-8 encoded, LF line
 endings, identically for the CSV and JSON formats.  Exit codes: 0 success,
-2 configuration error, 3 angle-range error, 4 empty design grid.
+2 configuration error, 3 angle-range error.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ from .energy import (SpringParams, classify_home_stability, energy,
 from .geometry import (InvalidGeometry, SegmentGeometry, SegmentState,
                        cable_lengths, segment_points, singularity_condition,
                        stack_forward, tapered_stack)
-from .optimizer import (DesignBounds, EmptyGrid, H1_RANGE, H2_RANGE, L1_RANGE,
+from .optimizer import (DesignBounds, H1_RANGE, H2_RANGE, L1_RANGE,
                         LAMBDA_RANGE, optimize)
 from .singularity import DegenerateInput, singular_angles
 
 _RESOLUTION_FIELDS = ("h1", "h2", "l1", "lambda")
-_BOUNDS_BOX = {"l1": L1_RANGE, "h1": H1_RANGE, "h2": H2_RANGE,
-               "lambda": LAMBDA_RANGE}
 # Largest h1 + h2 + h3 + l1 + l2 of the design box (h3 = h1, l2 = lam * l1).
 _BOX_SIZE = 2 * H1_RANGE[1] + H2_RANGE[1] + (1 + LAMBDA_RANGE[1]) * L1_RANGE[1]
 # Most energy-profile samples: a profile holds a few 8-byte arrays of this
@@ -101,12 +99,6 @@ def _as_integer(value, field: str, minimum: int) -> int:
     return value
 
 
-def _pair(value, field: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(field, "must be a [lo, hi] pair of numbers")
-    return _as_number(value[0], field), _as_number(value[1], field)
-
-
 def _geometry(value) -> SegmentGeometry:
     fields = SegmentGeometry._fields
     section = _object(value, "geometry", fields, fields)
@@ -162,17 +154,10 @@ def _samples(value) -> int:
     return samples
 
 
-def _bounds(value) -> None:
-    """The design box is fixed; a bounds section may only restate it."""
-    for key, item in _object(value, "bounds", _BOUNDS_BOX).items():
-        if _pair(item, f"bounds.{key}") != _BOUNDS_BOX[key]:
-            raise ConfigError(f"bounds.{key}", f"the design box is fixed at "
-                              f"{list(_BOUNDS_BOX[key])}; only resolutions "
-                              f"are configurable")
-
-
 def _range(value) -> tuple[float, float]:
-    lo, hi = _pair(value, "range")
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError("range", "must be a [lo, hi] pair of numbers")
+    lo, hi = (_as_number(item, "range") for item in value)
     # A finite width also keeps the profile's sample spacing finite.
     if not (lo < hi and math.isfinite(hi - lo)):
         raise RangeError(f"empty or unbounded angle range [{lo}, {hi}]")
@@ -186,7 +171,6 @@ _SECTIONS = {
     "springs": _springs,
     "stack": _stack,
     "resolutions": _resolutions,
-    "bounds": _bounds,
     "samples": _samples,
     "range": _range,
     "workers": lambda value: _as_integer(value, "workers", 1),
@@ -462,9 +446,6 @@ def main(argv=None) -> int:
     except RangeError as exc:
         print(f"range error: {exc}", file=sys.stderr)
         return 3
-    except EmptyGrid as exc:
-        print(f"empty grid: {exc}", file=sys.stderr)
-        return 4
 
 
 def run() -> None:

@@ -72,10 +72,6 @@ H2_RANGE = (0.0, 2.0)
 LAMBDA_RANGE = (0.05, 1.0)
 
 
-class EmptyGrid(ValueError):
-    """No feasible design exists on the requested grid."""
-
-
 class DesignBounds(_Record):
     """The fixed design box with per-axis sample counts.
 
@@ -269,7 +265,8 @@ def optimize(bounds: DesignBounds | None = None,
              springs: SpringParams | None = None) -> OptimizationReport:
     """Sweep the design grid and report the best design per taper ratio.
 
-    Raises :class:`EmptyGrid` when no feasible design exists.
+    Every taper has a feasible design: the ``h2`` axis has at least two
+    samples and ends at ``H2_RANGE[1] > 0``.
     """
     bounds = bounds or DesignBounds()
     springs = springs or SpringParams()
@@ -278,10 +275,6 @@ def optimize(bounds: DesignBounds | None = None,
     axes = (bounds.lambda_axis(), bounds.h1_axis(), bounds.h2_axis(),
             bounds.l1_axis())
     score = _score_grid(axes)
-
-    n_feasible = int(np.count_nonzero(score > -np.inf))
-    if n_feasible == 0:
-        raise EmptyGrid("no feasible design on the grid (all h2 samples are 0)")
 
     # Pass 2: lam is the outermost axis, so each taper is one row of this
     # view, and every taper shares the h2 axis, so each has a feasible peak.
@@ -335,5 +328,5 @@ def optimize(bounds: DesignBounds | None = None,
         energy_curve=tuple((r.lam, r.total_energy) for r in records),
         max_alpha_sing=max(r.alpha_sing for r in records),
         n_designs=score.size,
-        n_feasible=n_feasible,
+        n_feasible=int(np.count_nonzero(score > -np.inf)),
     )

@@ -377,23 +377,6 @@ def test_optimize_outputs(tmp_path, capsys, small_resolutions):
         [r[9] for r in best["rows"]]
 
 
-def test_optimize_bounds_restatement_allowed(tmp_path, small_resolutions):
-    config = write_config(tmp_path, {
-        **small_resolutions,
-        "bounds": {"l1": [0.0, 4.5], "h1": [0.0, 1.0],
-                   "h2": [0.0, 2.0], "lambda": [0.05, 1.0]}})
-    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 0
-
-
-def test_optimize_bounds_override_rejected(tmp_path, capsys,
-                                           small_resolutions):
-    config = write_config(tmp_path, {**small_resolutions,
-                                     "bounds": {"l1": [0.0, 9.0]}})
-    assert main(["optimize", "--config", config, "--output", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "bounds.l1" in err and "fixed" in err
-
-
 def test_optimize_worker_count_does_not_change_bytes(tmp_path):
     # --workers is validated and ignored: the sweep runs in one process.
     config = write_config(tmp_path, {"resolutions":
@@ -501,8 +484,11 @@ def test_write_table_rounds_raw_cells_alike_in_both_formats(tmp_path):
      "springs.rest_fraction"),
     ("optimize", {"springs": {"k1": True}}, "springs.k1"),
     ("optimize", {"springs": {"k2": "2"}}, "springs.k2"),
-    ("optimize", {"bounds": {"l1": ["a", 1]}}, "bounds.l1"),
-    ("optimize", {"bounds": {"h1": [False, 1]}}, "bounds.h1"),
+    # The design box is fixed: no config names it, not even to restate it.
+    ("optimize", {"bounds": {"l1": [0.0, 4.5], "h1": [0.0, 1.0],
+                             "h2": [0.0, 2.0], "lambda": [0.05, 1.0]}},
+     "bounds"),
+    ("optimize", {"bounds": {}}, "bounds"),
     # Past the limits, rejected before the profile or the grid is allocated.
     ("energy-profile", {**UNIT_CONFIG, "samples": 10**12}, "samples"),
     ("optimize", {"resolutions": dict.fromkeys(("h1", "h2", "l1", "lambda"),
@@ -606,7 +592,7 @@ def test_flag_of_another_subcommand_exits_2(tmp_path, capsys, command, flag):
     ("energy-profile", {"alphas": [0.0, None]}, "alphas[1]"),
     ("energy-profile", {"workers": 0}, "workers"),
     ("pose", {"resolutions": {"h1": 1.5}}, "resolutions.h1"),
-    ("ik", {"bounds": {"h2": [0.0, 3.0]}}, "bounds.h2"),
+    ("ik", {"bounds": {"h2": [0.0, 3.0]}}, "bounds"),
     ("ik", {"stack": {"lambda": 2.0}}, "stack.lambda"),
     ("ik", {"range": "wide"}, "range"),
     ("optimize", {"geometry": {"h1": 1}}, "geometry.h2"),
@@ -756,10 +742,6 @@ KEYS = {
     "samples": (2, COUNTS),
     "range": (1, mostly(st.tuples(number(-2.0, 0.0), number(0.01, 2.0)).map(list),
                         st.one_of(st.lists(ODD, max_size=3), ODD))),
-    "bounds": (1, section({"h1": mostly(st.just([0.0, 1.0]),
-                                        st.lists(ODD, max_size=3)),
-                           "lambda": mostly(st.just([0.05, 1.0]),
-                                            st.just([0.0, 1.0]))})),
     "workers": (1, COUNTS),
     # Every axis is given, so no default resolution enlarges the grid.
     "resolutions": (4, section({axis: COUNTS for axis
@@ -806,7 +788,7 @@ def test_any_config_exits_with_a_documented_code(command, config):
         path.write_text(json.dumps(config), encoding="utf-8")
         code = exit_code([*command, "--config", str(path),
                           "--output", str(Path(scratch) / "out")])
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenseg import (DesignBounds, EmptyGrid, InvalidGeometry, SegmentGeometry,
+from tenseg import (DesignBounds, InvalidGeometry, SegmentGeometry,
                     SpringParams, Stability, classify_home_stability,
                     energy, optimize, rest_length, singular_angles,
                     total_energy)
@@ -669,13 +669,20 @@ def test_best_records_agree_with_scalar_evaluation(small_report):
         assert record.stability is reference.stability
 
 
-def test_optimize_empty_grid(monkeypatch):
-    optimizer_module = importlib.import_module("tenseg.optimizer")
-    monkeypatch.setattr(optimizer_module.DesignBounds, "h2_axis",
-                        lambda self: np.zeros(self.h2_res))
-    with pytest.raises(EmptyGrid):
-        optimize(bounds=DesignBounds(h1_res=2, h2_res=2, l1_res=2,
-                                     lambda_res=2))
+@given(st.tuples(*[st.integers(2, 6)] * 4))
+@settings(max_examples=100, deadline=None)
+def test_every_taper_has_a_feasible_peak(resolutions):
+    # At least two h2 samples, the last at H2_RANGE[1] > 0: only the h2 = 0
+    # plane is infeasible, so no grid is empty and no taper lacks a winner.
+    bounds = DesignBounds(*resolutions)
+    assert bounds.h2_axis()[-1] == H2_RANGE[1] > 0.0
+    report = optimize(bounds=bounds)
+    assert report.n_feasible == bounds.grid_size - (
+        bounds.h1_res * bounds.l1_res * bounds.lambda_res)
+    assert [r.lam for r in report.best] == bounds.lambda_axis().tolist()
+    for record in report.best:
+        assert record.feasible and 0.0 < record.alpha_sing <= math.pi / 2
+        assert 0.0 < record.total_energy < math.inf
 
 
 def test_refinement_never_loses_the_optimum():
