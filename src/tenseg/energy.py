@@ -25,9 +25,8 @@ import operator
 
 import numpy as np
 
-from .geometry import (SegmentGeometry, _cable_lengths_raw, _home_length,
-                       _plate, _Record)
-from .singularity import _float, _where, singular_angles
+from .geometry import SegmentGeometry, _cable_lengths_raw, _plate, _Record
+from .singularity import _where, singular_angles
 
 # Rows integrated at a time, so that the temporaries stay small and in cache.
 _GL_BLOCK = 128
@@ -104,12 +103,13 @@ class StabilityClass(_Record):
 def rest_length(g: SegmentGeometry, fraction: float) -> float:
     """Spring rest length: ``fraction`` times the cable length at ``alpha = 0``.
 
-    Both cables have the same home length by mirror symmetry.  Raises
+    Both cables have the same home length by mirror symmetry; it is formed
+    once per geometry, from the floats of its fields.  Raises
     :class:`InvalidFraction` unless ``0 < fraction < 1`` (the springs must be
     stretched at home), and ``ValueError`` unless the result is > 0 and finite.
     """
     _check_springs(fraction)
-    l0 = fraction * float(_home_length(g.h1, g.h2, g.h3, g.l1, g.l2))
+    l0 = fraction * g._home
     if not (l0 > 0.0 and math.isfinite(l0)):
         raise ValueError(f"l0 must be > 0, got {l0!r}")
     return l0
@@ -277,9 +277,10 @@ def _energy_lower_bound(h1, h2, h3, l1, l2, l0, k1, k2, a):
     return 0.5 * (k1 + k2) * (gap * gap - _LB_SLACK * a * k)
 
 
-def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
-    """Per row (of arrays, or of scalars): ``E(0)``, the curvature ``E''(0)``,
-    a verdict code and the Neutral band ``tau``.
+def _home_stability(h1, h2, h3, l1, l2, rho, l0, k1, k2):
+    """Per row (of arrays, or of floats): ``E(0)``, the curvature ``E''(0)``,
+    a verdict code and the Neutral band ``tau``, from the home length ``rho``
+    (``geometry._home_length``) and the rest length ``l0``.
 
     With ``S = rho1**2``, ``x = l1 - l2`` and ``y = h1 + h2 + h3``, at 0
         S'/2  = -(x (h2 + 2 h3) + 2 l2 y),
@@ -293,7 +294,6 @@ def _home_stability(h1, h2, h3, l1, l2, l0, k1, k2):
     x = l1 - l2
     y = h1 + h2 + h3
     u = h2 + 2.0 * h3
-    rho = _float(_home_length(h1, h2, h3, l1, l2))  # one row: floats from here
     slope = -(x * u + 2.0 * l2 * y) / rho
     bend = u * u + 4.0 * l2 * l2 + 4.0 * l2 * x - y * (h2 + 4.0 * h3)
     curvature = (k1 + k2) * (slope * slope
@@ -335,7 +335,8 @@ def classify_home_stability(g: SegmentGeometry,
     sweep's kernel.  Verdicts within ``tau = 1e-7 * max(1, E(0))`` of zero
     are Neutral.
     """
-    _, curvature, code, tau = _home_stability(*_one_row(g, springs),
-                                              springs.k1, springs.k2)
+    *dims, l0 = _one_row(g, springs)
+    _, curvature, code, tau = _home_stability(*dims, g._home, l0, springs.k1,
+                                              springs.k2)
     return StabilityClass(stability=_STABILITY_CODES[code],
                           curvature=float(curvature), threshold=float(tau))

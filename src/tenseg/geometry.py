@@ -26,6 +26,7 @@ each level scaled by the taper ratio ``lam = l2 / l1``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -110,6 +111,11 @@ class SegmentGeometry(_Record):
 
     def __post_init__(self):
         validate_geometry(self)
+
+    @functools.cached_property
+    def _home(self) -> float:
+        """:func:`_home_length` of the fields' floats, formed on first use."""
+        return float(_home_length(*map(float, self._values())))
 
     @property
     def lam(self) -> float:

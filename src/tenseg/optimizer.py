@@ -286,7 +286,8 @@ def optimize(bounds: DesignBounds | None = None,
     l2 = lam * l1
     alpha_sing = score[ties]
     k1, k2 = springs.k1, springs.k2
-    l0 = springs.rest_fraction * _home_length(h1, h2, h1, l1, l2)
+    home = _home_length(h1, h2, h1, l1, l2)
+    l0 = springs.rest_fraction * home
     dims = np.stack((h1, h2, h1, l1, l2, l0))
     bound = _energy_lower_bound(*dims, k1, k2, alpha_sing)
     # Per taper (the ties are taper-major: one slice, one range), integrate
@@ -304,9 +305,10 @@ def optimize(bounds: DesignBounds | None = None,
     # The first row per taper by (E_t, h1, h2, l1) wins.
     order = np.lexsort((l1, h2, h1, e_total, ilam))
     win = order[np.unique(ilam[order], return_index=True)[1]]
-    h1, h2, l1, lam, l2, l0, alpha_sing, e_total = (
-        v[win] for v in (h1, h2, l1, lam, l2, l0, alpha_sing, e_total))
-    e0, curvature, codes, _ = _home_stability(h1, h2, h1, l1, l2, l0, k1, k2)
+    h1, h2, l1, lam, l2, home, l0, alpha_sing, e_total = (v[win] for v in (
+        h1, h2, l1, lam, l2, home, l0, alpha_sing, e_total))
+    e0, curvature, codes, _ = _home_stability(h1, h2, h1, l1, l2, home, l0,
+                                              k1, k2)
     e_sing = _energy_raw(h1, h2, h1, l1, l2, l0, k1, k2, alpha_sing)
     records = tuple(DesignRecord(
         x=(float(h1[r]), float(h2[r]), float(h1[r]), float(l1[r]),

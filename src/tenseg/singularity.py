@@ -10,7 +10,7 @@ quartic ``q(t) = (B+C) + (2A+4D) t - 6C t^2 + (2A-4D) t^3 + (C-B) t^4`` in
 ``t = tan(a/2)``, with ``q(t) = (1 + t^2)^2 * condition(a)``.  One kernel
 (:func:`_solve`, :func:`_real_root_count` and :func:`_fallback_roots`) has
 two entries: :func:`_row_roots` for :func:`singular_angles` (one row, root by
-root on Python floats, with numpy's own cube root, arctangent and cosine) and
+root on Python floats, with numpy's own cube root and arctangent) and
 :func:`quartic_real_roots` for the design sweep (``(n, 5)`` chunks, root by
 root on ``(n,)`` arrays), with the same bits for a row in both; flat designs
 (``h1 = h3 = 0``) take :func:`_flat_angle` in both.  The kernel starts from
@@ -99,11 +99,6 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _float(x):
-    """An array as it is, and one row's numpy scalar as a float."""
-    return x if isinstance(x, np.ndarray) else float(x)
-
-
 def _quartic_row(h1, h2, h3, l1, l2) -> list:
     """Ascending coefficients of ``q``, a list of five floats or ``(n,)``
     arrays, from :func:`tenseg.geometry._condition_terms` of the dimensions.
@@ -135,16 +130,20 @@ def _invariants(unit: np.ndarray):
     sums of their terms' sizes: two 4-tuples, from ``(5, ...)`` columns."""
     e, d, c, b, a = unit
     aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
-    terms = ((cc, -3.0 * bd, 12.0 * ae),
-             (2.0 * (c * cc), -9.0 * (c * bd), 27.0 * (e * bb),
-              27.0 * (a * d * d), -72.0 * (c * ae)),
-             (8.0 * ac, -3.0 * bb),
-             (64.0 * (aa * ae), -16.0 * (ac * ac), 16.0 * (bb * ac),
-              -16.0 * (aa * bd), -3.0 * (bb * bb)))
-    # Summed term by term in a fixed order, so that a column's invariants do
+    i1, i2, i3 = cc, -3.0 * bd, 12.0 * ae
+    j1, j2, j3 = 2.0 * (c * cc), -9.0 * (c * bd), 27.0 * (e * bb)
+    j4, j5 = 27.0 * (a * d * d), -72.0 * (c * ae)
+    p1, p2 = 8.0 * ac, -3.0 * bb
+    d1, d2, d3 = 64.0 * (aa * ae), -16.0 * (ac * ac), 16.0 * (bb * ac)
+    d4, d5 = -16.0 * (aa * bd), -3.0 * (bb * bb)
+    # Summed term by term from the left, so that a column's invariants do
     # not depend on the other columns (a matrix product's rounding does).
-    return (tuple(sum(row[1:], row[0]) for row in terms),
-            tuple(sum(map(abs, row[1:]), abs(row[0])) for row in terms))
+    return ((i1 + i2 + i3, j1 + j2 + j3 + j4 + j5, p1 + p2,
+             d1 + d2 + d3 + d4 + d5),
+            (abs(i1) + abs(i2) + abs(i3),
+             abs(j1) + abs(j2) + abs(j3) + abs(j4) + abs(j5),
+             abs(p1) + abs(p2),
+             abs(d1) + abs(d2) + abs(d3) + abs(d4) + abs(d5)))
 
 
 def _real_root_count(unit: np.ndarray) -> np.ndarray:
@@ -182,8 +181,10 @@ def _largest_cubic_root(a, b):
         if disc > 0.0:
             u = float(np.cbrt(b + math.copysign(root, b)))
             return u + a / (u + (u == 0.0))
-        return 2.0 * math.sqrt(abs(a)) * float(
-            np.cos(np.arctan2(root, b) / 3.0))
+        # math.cos, as geometry._trig takes it; numpy's cbrt and arctan2
+        # differ from math's on some floats, so they stay.
+        return 2.0 * math.sqrt(abs(a)) * math.cos(
+            float(np.arctan2(root, b)) / 3.0)
     u = np.cbrt(b + np.copysign(root, b))
     cardano = u + a / (u + (u == 0.0))
     trig = 2.0 * np.sqrt(abs(a)) * np.cos(np.arctan2(root, b) / 3.0)
@@ -415,13 +416,13 @@ def singular_angles(g: SegmentGeometry) -> SingularitySet:
             loop1, mults = [-half, inner, half, math.pi - inner], [1] * 4
     else:
         roots, mults, degree, _ = _row_roots(_quartic_row(*dims))
-        # The sweep takes the same arctangent, so both agree to the last bit.
-        loop1 = (2.0 * np.arctan(roots)).tolist()
+        # The sweep's arctangent, and doubling is exact: the sweep's bits.
+        loop1 = [2.0 * t for t in np.arctan(roots).tolist()]
         # t = tan(alpha/2) cannot reach alpha = pi, where the condition
         # equals the leading coefficient: each vanishing one is a root there.
         if degree < 4:
             loop1.append(math.pi)
             mults.append(4 - degree)
-    loop2 = tuple(sorted(normalize_angle(-a) for a in loop1))
-    alpha_sing = min((abs(a) for a in loop1), default=None)
+    loop2 = tuple(sorted([normalize_angle(-a) for a in loop1]))
+    alpha_sing = min(map(abs, loop1), default=None)
     return SingularitySet(tuple(loop1), loop2, tuple(mults), alpha_sing)

@@ -73,6 +73,16 @@ def kernel_rows(designs, springs):
          p.k1, p.k2) for g, p in zip(designs, springs)))]
 
 
+def home_rows(designs, springs):
+    """:func:`kernel_rows` with the home length, the sweep's
+    ``_home_length`` of the columns, ahead of ``l0``: the columns of
+    ``_home_stability``."""
+    from tenseg.geometry import _home_length
+
+    h1, h2, h3, l1, l2, *rest = kernel_rows(designs, springs)
+    return [h1, h2, h3, l1, l2, _home_length(h1, h2, h3, l1, l2), *rest]
+
+
 def design(h1, h2, l1, lam):
     """A sweep-style design: ``h3 = h1`` and ``l2 = lam * l1``."""
     return SegmentGeometry(h1=h1, h2=h2, h3=h1, l1=l1, l2=lam * l1)
@@ -138,6 +148,69 @@ def test_rest_length_must_be_positive_and_finite(dims, text):
         assert str(raised.value) == f"l0 must be > 0, got {text}"
 
 
+@pytest.mark.parametrize("kind, dims", [
+    (np.float32, (0.3, 1.2, 0.3, 1.5, 0.9)),
+    (int, (1, 2, 0, 3, 2)),
+    (np.float64, (0.3, 1.2, 0.3, 1.5, 0.9)),
+], ids=["float32", "int", "float64"])
+def test_fields_of_any_number_type_give_their_float_twins_bits(kind, dims):
+    # Every kernel runs on the float of each field, the home length too, so
+    # no rest length or verdict of a float32 geometry is formed in float32.
+    g = SegmentGeometry(*map(kind, dims))
+    twin = SegmentGeometry(*map(float, g._values()))
+    springs = SpringParams.for_geometry(g, k1=1.3, k2=0.7)
+    assert rest_length(g, 0.4).hex() == rest_length(twin, 0.4).hex()
+    assert classify_home_stability(g, springs) == classify_home_stability(
+        twin, springs)
+    alpha_sing = singular_angles(twin).alpha_sing
+    assert (total_energy(g, springs, alpha_sing).hex()
+            == total_energy(twin, springs, alpha_sing).hex())
+    for n, alpha_range in ((101, None), (11, (-1.0, 1.0))):
+        ours, theirs = (energy_profile(x, springs, n, alpha_range)
+                        for x in (g, twin))
+        assert ours.alpha_range == theirs.alpha_range
+        assert ours.alphas.tobytes() == theirs.alphas.tobytes()
+        assert ours.energies.tobytes() == theirs.energies.tobytes()
+    if kind is np.float32:
+        assert rest_length(g, 0.4) == float.fromhex("0x1.8494a862133fbp-1")
+
+
+def test_home_length_is_formed_once_per_geometry(monkeypatch):
+    # One design of the scalar API forms its home length once: its springs,
+    # its verdict, its energy integral and its profile share it.
+    import copy
+    import pickle
+
+    geometry = importlib.import_module("tenseg.geometry")
+    calls = []
+
+    def counting(*dims, kernel=geometry._home_length):
+        calls.append(dims)
+        return kernel(*dims)
+
+    monkeypatch.setattr(geometry, "_home_length", counting)
+    g = SegmentGeometry(0.5, 1.2, 0.5, 1.0, 0.7)
+    springs = SpringParams.for_geometry(g)
+    alpha_sing = singular_angles(g).alpha_sing
+    classify_home_stability(g, springs)
+    total_energy(g, springs, alpha_sing)
+    energy_profile(g, springs, 101, (-alpha_sing, alpha_sing))
+    assert calls == [(0.5, 1.2, 0.5, 1.0, 0.7)]
+    # A geometry whose home length was formed is still its fields alone: it
+    # equals, hashes, reprs, pickles and copies as a fresh one, and a copy
+    # or a pickle forms no second home length.
+    fresh = SegmentGeometry(0.5, 1.2, 0.5, 1.0, 0.7)
+    for twin in (g, pickle.loads(pickle.dumps(g)), copy.copy(g),
+                 copy.deepcopy(g)):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert repr(twin) == repr(fresh)
+        assert pickle.loads(pickle.dumps(twin)) == fresh
+        assert rest_length(twin, 0.4) == rest_length(g, 0.4)
+    assert len(calls) == 1
+    assert rest_length(fresh, 0.4) == rest_length(g, 0.4)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # energy
 
@@ -192,7 +265,7 @@ def test_energy_at_home_equals_the_stability_kernels():
     springs = [SpringParams.for_geometry(
         g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
         rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
-    e0 = _home_stability(*kernel_rows(designs, springs))[0]
+    e0 = _home_stability(*home_rows(designs, springs))[0]
     assert [energy(g, p, 0.0) for g, p in zip(designs, springs)] == e0.tolist()
 
 
@@ -623,7 +696,7 @@ def test_classify_home_stability_one_row_equals_the_batched_kernel():
     springs = [SpringParams.for_geometry(
         g, k1=float(rng.uniform(0.2, 5.0)), k2=float(rng.uniform(0.2, 5.0)),
         rest_fraction=float(rng.uniform(0.05, 0.95))) for g in designs]
-    _, curvature, codes, tau = _home_stability(*kernel_rows(designs, springs))
+    _, curvature, codes, tau = _home_stability(*home_rows(designs, springs))
     verdicts = [classify_home_stability(g, p)
                 for g, p in zip(designs, springs)]
     assert [v.stability for v in verdicts] == [
@@ -642,8 +715,9 @@ def test_one_row_home_stability_returns_python_floats(g):
     from tenseg.energy import _home_stability, _one_row
 
     springs = SpringParams.for_geometry(g, k1=1.3, k2=0.7)
-    e0, curvature, _, tau = _home_stability(*_one_row(g, springs),
-                                            springs.k1, springs.k2)
+    *dims, l0 = _one_row(g, springs)
+    e0, curvature, _, tau = _home_stability(*dims, g._home, l0, springs.k1,
+                                            springs.k2)
     assert type(e0) is float and type(curvature) is float
     assert type(tau) is float
 

@@ -707,13 +707,17 @@ def test_small_chunks_integrate_only_the_tie_set(monkeypatch, small_report,
     optimizer_module = importlib.import_module("tenseg.optimizer")
     bounds = small_report.bounds
     calls = {"_energy_integral": [], "_home_stability": []}
-    for name, rows in calls.items():
-        def counting_kernel(h1, h2, h3, l1, l2, l0, k1, k2, *rest,
-                            kernel=getattr(optimizer_module, name), rows=rows):
+    # After the dimensions the integral takes l0, k1, k2 and the stability
+    # the home length too: 3 and 4 arguments before the rest.
+    for (name, rows), skip in zip(calls.items(), (3, 4)):
+        def counting_kernel(h1, h2, h3, l1, l2, *args,
+                            kernel=getattr(optimizer_module, name), rows=rows,
+                            skip=skip):
             # rest is the energy integral's range; the stability has none.
+            rest = args[skip:]
             rows.append((sorted(zip(h1.tolist(), h2.tolist(), l1.tolist(),
                                     l2.tolist())), rest))
-            return kernel(h1, h2, h3, l1, l2, l0, k1, k2, *rest)
+            return kernel(h1, h2, h3, l1, l2, *args)
 
         monkeypatch.setattr(optimizer_module, name, counting_kernel)
     monkeypatch.setattr(optimizer_module, "_CHUNK", chunk)

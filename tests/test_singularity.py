@@ -586,6 +586,41 @@ def test_kernel_rows_do_not_depend_on_the_batch():
                 assert whole_half[j][k] == alone_half[j][0] == single_half[j]
 
 
+def exact_invariants(e, d, c, b, a):
+    """``I``, ``J``, ``P``, ``D`` of ``a t^4 + ... + e`` in exact arithmetic."""
+    e, d, c, b, a = map(Fraction, (e, d, c, b, a))
+    return (c * c - 3 * b * d + 12 * a * e,
+            2 * c**3 - 9 * b * c * d + 27 * b * b * e + 27 * a * d * d
+            - 72 * a * c * e,
+            8 * a * c - 3 * b * b,
+            64 * a**3 * e - 16 * a * a * c * c + 16 * a * b * b * c
+            - 16 * a * a * b * d - 3 * b**4)
+
+
+# Magnitudes below 1; one below 2**-100 is 0, so that no product of four
+# entries and a constant leaves the normal floats.
+UNIT_ENTRY = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).map(
+    lambda x: 0.0 if abs(x) < 2.0**-100 else x)
+
+
+@given(st.lists(UNIT_ENTRY, min_size=5, max_size=5))
+@example([0.75, -0.5, 0.1, 0.3, -0.9])
+@example([1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.0 - 2.0**-53,
+          -(1.0 - 2.0**-53), 1.0 - 2.0**-53])  # every term of full size
+@settings(max_examples=500, deadline=None)
+def test_invariants_are_within_their_rounding_bound(row):
+    # _real_root_count trusts an invariant's sign only beyond _INVARIANT_REL
+    # times its size sum: each float invariant is within that of its exact
+    # value, on floats and on a column of arrays alike.
+    rel = singularity_module._INVARIANT_REL
+    values, sizes = singularity_module._invariants(row)
+    column = singularity_module._invariants(np.array(row)[:, None])
+    for value, size, exact, (col_value, col_size) in zip(
+            values, sizes, exact_invariants(*row), zip(*column)):
+        assert abs(Fraction(value) - exact) <= rel * Fraction(size)
+        assert (col_value[0], col_size[0]) == (value, size)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_row_fallback_equals_its_batch_row_on_seeded_designs():
     # A row alone finishes on floats: its sort, separation test, root count
