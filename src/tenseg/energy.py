@@ -104,12 +104,12 @@ def rest_length(g: SegmentGeometry, fraction: float) -> float:
     """Spring rest length: ``fraction`` times the cable length at ``alpha = 0``.
 
     Both cables have the same home length by mirror symmetry; it is formed
-    once per geometry, from the floats of its fields.  Raises
+    once per geometry, and ``fraction`` is taken as its float.  Raises
     :class:`InvalidFraction` unless ``0 < fraction < 1`` (the springs must be
     stretched at home), and ``ValueError`` unless the result is > 0 and finite.
     """
     _check_springs(fraction)
-    l0 = fraction * g._home
+    l0 = float(fraction) * g._home
     if not (l0 > 0.0 and math.isfinite(l0)):
         raise ValueError(f"l0 must be > 0, got {l0!r}")
     return l0
@@ -123,7 +123,7 @@ def _energy_raw(h1, h2, h3, l1, l2, l0, k1, k2, alpha):
 
 def _one_row(g: SegmentGeometry, springs: SpringParams) -> tuple:
     """``(h1, h2, h3, l1, l2, l0)`` of one design, as floats."""
-    return (*map(float, g._values()), rest_length(g, springs.rest_fraction))
+    return (*g._values(), rest_length(g, springs.rest_fraction))
 
 
 def energy(g: SegmentGeometry, springs: SpringParams, alpha):
@@ -339,4 +339,4 @@ def classify_home_stability(g: SegmentGeometry,
     _, curvature, code, tau = _home_stability(*dims, g._home, l0, springs.k1,
                                               springs.k2)
     return StabilityClass(stability=_STABILITY_CODES[code],
-                          curvature=float(curvature), threshold=float(tau))
+                          curvature=curvature, threshold=tau)

@@ -56,18 +56,21 @@ def normalize_angle(angle: float) -> float:
 
 
 class _Record:
-    """Base of the package's immutable records: the fields are a subclass's
-    own annotations, in order, with class-level values as defaults, and one
-    ``exec`` writes its ``__init__`` (which calls ``__post_init__``, if any)
-    and ``_values``, the field tuple that equality, hashing and repr use."""
+    """Base of the package's immutable records: a subclass's own annotations,
+    in order, are its fields, class-level values their defaults.  One ``exec``
+    writes ``__init__``, storing a ``float`` field as a Python float before
+    any ``__post_init__``, and ``_values``, the tuple ==, hash and repr use."""
 
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
-        body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+        # math.ldexp(v, 0) is float(v) on all that math.isfinite takes, no str.
+        floats = {n for n in names if cls.__annotations__[n] == "float"}
+        body = "".join(f"\n _set(self, {n!r}, _ldexp({n}, 0))" if n in floats
+                       else f"\n _set(self, {n!r}, {n})" for n in names)
         if hasattr(cls, "__post_init__"):
             body += "\n self.__post_init__()"
         values = "".join(f"self.{n}, " for n in names)
-        ns = {"_set": object.__setattr__}
+        ns = {"_set": object.__setattr__, "_ldexp": math.ldexp}
         exec(f"def __init__(self, {', '.join(names)}):{body}\n"
              f"def _values(self): return ({values})", ns)
         init = ns["__init__"]
@@ -114,8 +117,8 @@ class SegmentGeometry(_Record):
 
     @functools.cached_property
     def _home(self) -> float:
-        """:func:`_home_length` of the fields' floats, formed on first use."""
-        return float(_home_length(*map(float, self._values())))
+        """:func:`_home_length` of the fields, formed on first use."""
+        return float(_home_length(*self._values()))
 
     @property
     def lam(self) -> float:
@@ -277,7 +280,7 @@ def singularity_condition(g: SegmentGeometry, alpha):
 def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:
     """Build a three-segment stack from a base segment and taper ratio ``lam``.
 
-    Level ``i`` (0-based) is ``base`` uniformly scaled by ``lam**i``, so each
+    Level ``i`` (0-based) is ``base`` scaled by ``float(lam)**i``, so each
     base plate matches the moving plate below it.  ``states`` gives the three
     per-level angles.  Raises :class:`InvalidRatio` unless ``0 < lam <= 1``.
     """
@@ -287,7 +290,7 @@ def tapered_stack(base: SegmentGeometry, lam: float, states) -> StackConfig:
                    for st in states)
     h1, h2, h3, l1, l2 = base._values()
     segments = tuple([SegmentGeometry(h1 * s, h2 * s, h3 * s, l1 * s, l2 * s)
-                      for s in [lam**i for i in range(3)]])
+                      for s in [float(lam)**i for i in range(3)]])
     return StackConfig(segments=segments, states=states)
 
 

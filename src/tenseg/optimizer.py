@@ -313,14 +313,14 @@ def optimize(bounds: DesignBounds | None = None,
     records = tuple(DesignRecord(
         x=(float(h1[r]), float(h2[r]), float(h1[r]), float(l1[r]),
            float(lam[r])),
-        l2=float(l2[r]),
+        l2=l2[r],
         feasible=True,
-        alpha_sing=float(alpha_sing[r]),
-        total_energy=float(e_total[r]),
-        energy_at_zero=float(e0[r]),
-        energy_at_sing=float(e_sing[r]),
+        alpha_sing=alpha_sing[r],
+        total_energy=e_total[r],
+        energy_at_zero=e0[r],
+        energy_at_sing=e_sing[r],
         stability=_STABILITY_CODES[codes[r]],
-        curvature=float(curvature[r]),
+        curvature=curvature[r],
     ) for r in range(len(win)))
     return OptimizationReport(
         bounds=bounds,

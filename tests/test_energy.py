@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from conftest import (STABLE_FLAT, UNIT, UNSTABLE_TALL, capped_alpha_sing,
                       per_row_energy_integral, random_geometry)
 from tenseg import (DesignBounds, InvalidFraction, NoSingularity,
-                    SegmentGeometry, SingularitySet, SpringParams, Stability,
-                    cable_lengths, classify_home_stability, energy,
-                    energy_profile, rest_length, singular_angles,
-                    tapered_stack, total_energy)
+                    SegmentGeometry, SegmentState, SingularitySet,
+                    SpringParams, Stability, cable_lengths,
+                    classify_home_stability, energy, energy_profile,
+                    rest_length, segment_points, singular_angles,
+                    singularity_condition, stack_forward, tapered_stack,
+                    total_energy)
 
 # Platform half-width tuned (to machine precision) so the home-pose energy
 # curvature of (h1=1, h2=1, h3=1, l1=1, l2=*) vanishes: the neutral boundary
@@ -148,30 +150,63 @@ def test_rest_length_must_be_positive_and_finite(dims, text):
         assert str(raised.value) == f"l0 must be > 0, got {text}"
 
 
-@pytest.mark.parametrize("kind, dims", [
-    (np.float32, (0.3, 1.2, 0.3, 1.5, 0.9)),
-    (int, (1, 2, 0, 3, 2)),
-    (np.float64, (0.3, 1.2, 0.3, 1.5, 0.9)),
+def bits(value):
+    """``value``'s exact bits: an array's dtype and bytes, each item of a
+    tuple or list, else its repr (which names a numpy scalar's type)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return repr(value)
+
+
+@pytest.mark.parametrize("dims, spring_values, lam", [
+    (np.float32([0.3, 1.2, 0.3, 1.5, 0.9]), np.float32([1.3, 0.7, 0.4]),
+     np.float32(0.7)),
+    # No int lies in (0, 1): the int springs keep a float rest fraction.
+    ((1, 2, 0, 3, 2), (2, 1, 0.4), 1),
+    (np.float64([0.3, 1.2, 0.3, 1.5, 0.9]), np.float64([1.3, 0.7, 0.4]),
+     np.float64(0.7)),
 ], ids=["float32", "int", "float64"])
-def test_fields_of_any_number_type_give_their_float_twins_bits(kind, dims):
-    # Every kernel runs on the float of each field, the home length too, so
-    # no rest length or verdict of a float32 geometry is formed in float32.
-    g = SegmentGeometry(*map(kind, dims))
-    twin = SegmentGeometry(*map(float, g._values()))
-    springs = SpringParams.for_geometry(g, k1=1.3, k2=0.7)
-    assert rest_length(g, 0.4).hex() == rest_length(twin, 0.4).hex()
-    assert classify_home_stability(g, springs) == classify_home_stability(
-        twin, springs)
+def test_fields_of_any_number_type_give_their_float_twins_bits(
+        dims, spring_values, lam):
+    # Records hold the float of each field and the scalar arguments are
+    # taken as floats, so no kinematics, rest length, verdict or energy of a
+    # float32 design or float32 springs is formed in float32.
+    g, twin = SegmentGeometry(*dims), SegmentGeometry(*map(float, dims))
     alpha_sing = singular_angles(twin).alpha_sing
-    assert (total_energy(g, springs, alpha_sing).hex()
-            == total_energy(twin, springs, alpha_sing).hex())
-    for n, alpha_range in ((101, None), (11, (-1.0, 1.0))):
-        ours, theirs = (energy_profile(x, springs, n, alpha_range)
-                        for x in (g, twin))
-        assert ours.alpha_range == theirs.alpha_range
-        assert ours.alphas.tobytes() == theirs.alphas.tobytes()
-        assert ours.energies.tobytes() == theirs.energies.tobytes()
-    if kind is np.float32:
+    angles = np.linspace(-1.0, 1.0, 11)
+
+    def results(x, springs, lam, fraction):
+        """Every call's result on design ``x``, by name."""
+        stack = stack_forward(tapered_stack(x, lam, (0.3, 0.2, 0.1)))
+        return {
+            "rest_length": rest_length(x, 0.4),
+            "rest_length of the fraction": rest_length(x, fraction),
+            "classify_home_stability":
+                classify_home_stability(x, springs)._values(),
+            "total_energy": total_energy(x, springs, alpha_sing),
+            "energy_profile": energy_profile(x, springs)._values(),
+            "energy_profile on a range":
+                energy_profile(x, springs, 11, (-1.0, 1.0))._values(),
+            "cable_lengths": cable_lengths(x, 0.3),
+            "cable_lengths of an array": cable_lengths(x, angles),
+            "singularity_condition": singularity_condition(x, 0.3),
+            "singularity_condition of an array":
+                singularity_condition(x, angles),
+            "segment_points": segment_points(x, SegmentState(0.3))._values(),
+            "stack_forward": [frame._values() for frame in stack],
+            "singular_angles": singular_angles(x)._values(),
+        }
+
+    fraction = spring_values[2]
+    ours = results(g, SpringParams.for_geometry(g, *spring_values), lam,
+                   fraction)
+    theirs = results(twin, SpringParams.for_geometry(
+        twin, *map(float, spring_values)), float(lam), float(fraction))
+    for name, value in ours.items():
+        assert bits(value) == bits(theirs[name]), name
+    if isinstance(dims[0], np.float32):
         assert rest_length(g, 0.4) == float.fromhex("0x1.8494a862133fbp-1")
 
 

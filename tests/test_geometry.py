@@ -1,6 +1,7 @@
 """Tests for the segment geometry model, cable kinematics and stack composition."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -562,8 +563,33 @@ def test_records_of_different_types_never_compare_equal():
     assert spec != verdict and verdict != spec and not spec == verdict
     assert spec != (1.0, 1.0, 0.4) and SegmentState(0.5) != 0.5
     assert len({spec, verdict}) == 2
-    stack = StackConfig((GEOMETRY,) * 3, (WRAPPED,) * 3)
-    assert stack != Frame2D(stack.segments, stack.states)
+
+
+# The records with a field annotated float, each built here from floats.
+FLOAT_RECORDS = [(r, t) for r, t in RECORDS
+                 if "float" in type(r).__annotations__.values()]
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, Fraction, int],
+                         ids=["float32", "float64", "Fraction", "int"])
+@pytest.mark.parametrize("record, _", FLOAT_RECORDS,
+                         ids=[type(r).__name__ for r, _ in FLOAT_RECORDS])
+def test_float_fields_hold_the_float_of_any_real_number(record, _, kind):
+    # Each float field stores the Python float of the number passed, before
+    # __post_init__ validates it, so the record is its float twin; a str,
+    # bytes or None still raises TypeError, where float() would parse a str.
+    cls, values = type(record), record.__dict__
+    for name, annotation in cls.__annotations__.items():
+        if annotation != "float" or (kind is int and name == "rest_fraction"):
+            continue  # no int lies in the rest fraction's (0, 1)
+        number = 1 if kind is int else kind(values[name])
+        built = cls(**{**values, name: number})
+        assert all(type(getattr(built, n)) is float for n in cls._fields
+                   if cls.__annotations__[n] == "float")
+        assert repr(built) == repr(cls(**{**values, name: float(number)}))
+        for wrong in ("1", b"1", None):
+            with pytest.raises(TypeError):
+                cls(**{**values, name: wrong})
 
 
 def test_records_holding_arrays_do_not_hash():
@@ -582,7 +608,7 @@ def test_record_defaults_and_validation():
     assert SegmentState(alpha=-math.pi).alpha == math.pi
     cases = [
         (lambda: SegmentGeometry(1, 0, 1, 1, 1), InvalidGeometry,
-         "h2: must be > 0, got 0"),
+         "h2: must be > 0, got 0.0"),
         (lambda: StackConfig((GEOMETRY,) * 2, (WRAPPED,) * 3), ValueError,
          "a stack has exactly three segments and three states"),
         (lambda: SpringParams(-1.0, 1.0, 0.4), ValueError,
